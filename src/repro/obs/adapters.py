@@ -30,7 +30,7 @@ Metric naming scheme (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.profile import PROFILER
@@ -148,21 +148,19 @@ def _add_tenant_metrics(registry: MetricsRegistry,
     share = registry.gauge(
         "repro_tenant_share", "Configured fair-share weight per tenant", ("tenant",)
     )
+    # Keys follow :func:`repro.qos.stats.tenant_snapshot`.
     for tenant, snap in tenants.items():
         if not isinstance(snap, Mapping):
             continue
-        for metric, keys in (
-            (admitted, ("admitted",)),
-            (rejected, ("rejected", "rejections")),
-        ):
-            for key in keys:
-                value = _finite(snap.get(key))
-                if value is not None:
-                    metric.set_total(value, tenant)
-                    break
-        for metric, key in ((in_flight, "in_flight"), (backlog, "backlog"),
-                            (share, "weight")):
+        for metric, key in ((admitted, "admitted"), (rejected, "rejected")):
             value = _finite(snap.get(key))
+            if value is not None:
+                metric.set_total(value, tenant)
+        config = snap.get("config")
+        weight = config.get("weight") if isinstance(config, Mapping) else None
+        for metric, raw in ((in_flight, snap.get("in_use")),
+                            (backlog, snap.get("queued")), (share, weight)):
+            value = _finite(raw)
             if value is not None:
                 metric.set(value, tenant)
 

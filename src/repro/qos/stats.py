@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping
 
 from .tenants import TenantConfig
 
-__all__ = ["tenant_snapshot", "snapshot_lost", "merge_tenant_snapshots"]
+__all__ = ["tenant_snapshot", "snapshot_lost", "merge_tenant_snapshots", "merge_windows"]
 
 #: Counter keys (cumulative) — summed in the cluster merge.
 COUNTER_KEYS = ("submitted", "admitted", "rejected", "completed", "failed",
@@ -77,8 +77,16 @@ def snapshot_lost(snap: Mapping[str, object]) -> int:
     )
 
 
-def _merge_windows(windows: List[Mapping[str, float]]) -> Dict[str, float]:
-    """Count-weighted merge of queue-wait windows (see module docstring)."""
+def merge_windows(windows: List[Mapping[str, float]]) -> Dict[str, float]:
+    """Count-weighted merge of latency-window snapshots.
+
+    Percentiles of disjoint windows cannot be combined exactly, so the
+    merged ``p50/p90/p99/mean`` are sample-count-weighted averages;
+    ``max`` is the true max and ``count`` the true sum.  Empty windows
+    (count 0) contribute nothing; with no samples at all every value is
+    ``nan``.  Shared by the tenant queue-wait merge here and the cluster
+    family-latency merge (:func:`repro.cluster.stats.merge_families`).
+    """
     merged: Dict[str, float] = {"count": 0, "max": -math.inf,
                                 **{key: 0.0 for key in _WEIGHTED_KEYS}}
     for snap in windows:
@@ -143,7 +151,7 @@ def merge_tenant_snapshots(
             for code in sorted(bucket["rejected_by"])  # type: ignore[arg-type]
         }
         bucket["queue_wait"] = (
-            _merge_windows(windows[name]) if windows[name] else dict(_EMPTY_WINDOW)
+            merge_windows(windows[name]) if windows[name] else dict(_EMPTY_WINDOW)
         )
         bucket["lost"] = snapshot_lost(bucket)
     return {name: merged[name] for name in sorted(merged)}

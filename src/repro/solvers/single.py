@@ -8,10 +8,8 @@ a callable ``solver(instance, objective) -> (Schedule, rho)`` where
 the instance's processor count; the guarantee is what Property 1/2
 multiply by ``(1 + Δ)`` and ``(1 + 1/Δ)``.
 
-This module supersedes the string-keyed registry that used to live in
-``repro.algorithms.registry`` (kept there as a deprecated shim); the
-unified capability-aware registry of :mod:`repro.solvers.registry` builds
-on it.
+The unified capability-aware registry of :mod:`repro.solvers.registry`
+builds on this one.
 """
 
 from __future__ import annotations

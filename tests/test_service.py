@@ -752,15 +752,21 @@ class TestTCPServer:
                 writer.write(encode_message(
                     {"id": 2, "op": "solve", "instance": inst.to_dict(),
                      "spec": "no_such_solver"}))
+                # A framing-upgrade request from an older client is just
+                # another unknown op; the connection stays on line JSON.
+                writer.write(encode_message(
+                    {"id": 4, "op": "negotiate", "framings": ["msgpack"]}))
                 writer.write(encode_message(solve_request(inst, "lpt", request_id=3)))
                 await writer.drain()
                 seen = {}
-                while len(seen) < 4:
+                while len(seen) < 5:
                     msg = json.loads(await asyncio.wait_for(reader.readline(), 30))
                     seen[msg["id"]] = msg
                 assert seen[None]["error"]["type"] == "ProtocolError"
                 assert seen[1]["error"]["type"] == "ProtocolError"
                 assert seen[2]["error"]["type"] == "SpecError"
+                assert seen[4]["error"]["type"] == "ProtocolError"
+                assert seen[4]["error"]["message"].startswith("unknown op 'negotiate'")
                 assert seen[3]["ok"] is True
                 writer.close()
                 server.close()
