@@ -18,9 +18,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.core.task import Task, TaskSet
+from repro.core.task import Task, TaskSet, _check_finite_nonnegative
 
-__all__ = ["Instance", "DAGInstance"]
+__all__ = ["Instance", "DAGInstance", "InstancePayload"]
 
 
 def _check_m(m: int) -> int:
@@ -29,6 +29,22 @@ def _check_m(m: int) -> int:
     if m < 1:
         raise ValueError(f"number of processors m must be >= 1, got {m}")
     return m
+
+
+def _fingerprint(m: int, triples: Iterable[Tuple[object, float, float]]) -> List[str]:
+    """The canonical lines of an independent-task instance (see ``content_hash``).
+
+    The one definition of the line format: :meth:`Instance._fingerprint_parts`
+    feeds it built tasks, :meth:`InstancePayload.parse` validated wire
+    records, so both hash to the same digest.
+    """
+    parts = ["kind=independent", f"m={m}"]
+    parts.extend(f"task={tid!r}|{p!r}|{s!r}" for tid, p, s in triples)
+    return parts
+
+
+def _digest(parts: List[str]) -> str:
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 class Instance:
@@ -102,9 +118,7 @@ class Instance:
     # ------------------------------------------------------------------ #
     def _fingerprint_parts(self) -> List[str]:
         """Canonical lines hashed by :meth:`content_hash` (subclasses extend)."""
-        parts = ["kind=independent", f"m={self.m}"]
-        parts.extend(f"task={t.id!r}|{t.p!r}|{t.s!r}" for t in self.tasks)
-        return parts
+        return _fingerprint(self.m, ((t.id, t.p, t.s) for t in self.tasks))
 
     def content_hash(self) -> str:
         """SHA-256 hex digest of the instance *content*.
@@ -126,8 +140,7 @@ class Instance:
         cached = getattr(self, "_content_hash", None)
         if cached is not None:
             return cached
-        payload = "\n".join(self._fingerprint_parts())
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = _digest(self._fingerprint_parts())
         self._content_hash = digest
         return digest
 
@@ -331,3 +344,85 @@ class DAGInstance(Instance):
         )
         edges = [tuple(e) for e in data.get("edges", [])]  # type: ignore[union-attr]
         return cls(tasks, m=int(data["m"]), edges=edges, name=data.get("name"))  # type: ignore[arg-type]
+
+
+class _Unproven(Exception):
+    """A wire record :meth:`InstancePayload.parse` cannot prove valid."""
+
+
+def _checked_triples(records: list):
+    """``(id, p, s)`` of each record, checked by the rules ``Task``/``TaskSet`` apply.
+
+    Raises :class:`_Unproven` at the first record those constructors
+    would reject: not a JSON object, a missing key, a ``p``/``s`` that
+    ``Task`` refuses, an unhashable or duplicate id.
+    """
+    seen = set()
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise _Unproven
+        try:
+            tid = rec["id"]
+            p = _check_finite_nonnegative(rec["p"], "processing time", tid)
+            s = _check_finite_nonnegative(rec["s"], "storage size", tid)
+            if tid in seen:
+                raise _Unproven
+            seen.add(tid)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise _Unproven from None
+        yield tid, p, s
+
+
+class InstancePayload:
+    """An independent-task ``to_dict()`` payload, hashed but not yet built.
+
+    :meth:`parse` validates the payload in one pass, without constructing
+    a :class:`Task`, and computes the digest ``Instance.from_dict(data)``
+    would report from its :meth:`~Instance.content_hash` — the same
+    fingerprint lines.  :meth:`build` constructs that instance with the
+    digest already memoized.  The serving layer hands one to
+    ``SolverService.solve``, which calls :meth:`build` only when the
+    result cache misses, so a warm hit never builds the task set.
+    """
+
+    __slots__ = ("data", "n", "_content_hash")
+
+    def __init__(self, data: Dict[str, object], digest: str) -> None:
+        self.data = data
+        self.n = len(data["tasks"])  # type: ignore[arg-type]
+        self._content_hash = digest
+
+    @classmethod
+    def parse(cls, data: object) -> Optional["InstancePayload"]:
+        """The hashed payload, or ``None`` unless ``Instance.from_dict`` accepts it.
+
+        ``None`` also covers every other kind and a ``tasks`` field that is
+        not a list: the caller then builds through ``from_dict`` and gets
+        its exact result or error.
+        """
+        if not isinstance(data, dict) or data.get("kind", "independent") != "independent":
+            return None
+        records = data.get("tasks")
+        if not isinstance(records, list):
+            return None
+        try:
+            m = int(data["m"])  # type: ignore[call-overload]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return None
+        if m < 1:
+            return None
+        try:
+            digest = _digest(_fingerprint(m, _checked_triples(records)))
+        except _Unproven:
+            return None
+        return cls(data, digest)
+
+    def content_hash(self) -> str:
+        """``Instance.from_dict(self.data).content_hash()``, computed at parse."""
+        return self._content_hash
+
+    def build(self) -> Instance:
+        """The instance this payload describes, its content hash seeded."""
+        instance = Instance.from_dict(self.data)
+        instance._content_hash = self._content_hash
+        return instance

@@ -120,7 +120,7 @@ import json
 import math
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.instance import DAGInstance, Instance
+from repro.core.instance import DAGInstance, Instance, InstancePayload
 from repro.solvers.result import SolveResult
 
 try:  # optional accelerator; the wire format is unchanged when present
@@ -137,6 +137,7 @@ __all__ = [
     "decode_message",
     "sanitize_non_finite",
     "instance_from_payload",
+    "hashed_instance_from_payload",
     "task_from_payload",
     "result_to_payload",
     "solve_request",
@@ -191,6 +192,22 @@ def error_code_for(exc: BaseException) -> Optional[str]:
     return None
 
 
+class _ResultPayload(dict):
+    """A solve result's wire dict that knows whether it holds a non-finite float.
+
+    Built only by :func:`result_to_payload`, which sets ``non_finite``
+    while it assembles the dict, so :func:`encode_message` need not walk
+    the assignment list again.  Both encoders serialize it as a plain
+    object.
+    """
+
+    __slots__ = ("non_finite",)
+
+
+#: Scalar types that never hold a non-finite float.
+_PLAIN_TYPES = frozenset((int, str, bool, type(None)))
+
+
 def _has_non_finite(value: object) -> bool:
     """True when ``value`` contains a float ``orjson`` cannot round-trip.
 
@@ -198,12 +215,13 @@ def _has_non_finite(value: object) -> bool:
     the ``Infinity`` literal on parse), while this protocol's documented
     wire form uses the JSON-extension literals stdlib ``json`` emits.  Any
     payload containing a non-finite float must therefore take the stdlib
-    path; this scan is cheap (C-level isinstance checks) next to the
-    serialization it guards.
+    path.  A result payload answers from its precomputed flag.
     """
     if isinstance(value, float):
         return not math.isfinite(value)
     if isinstance(value, dict):
+        if isinstance(value, _ResultPayload):
+            return value.non_finite
         return any(_has_non_finite(v) for v in value.values())
     if isinstance(value, (list, tuple)):
         return any(_has_non_finite(v) for v in value)
@@ -304,12 +322,30 @@ def instance_from_payload(data: object) -> Union[Instance, DAGInstance]:
             from repro.periodic.model import PeriodicInstance
 
             return PeriodicInstance.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed instance payload: {exc}") from None
     raise ProtocolError(
         f"unknown instance kind {kind!r}; expected 'independent', 'dag', "
         f"'uniform', or 'periodic'"
     )
+
+
+def hashed_instance_from_payload(
+    data: object,
+) -> Union[Instance, DAGInstance, InstancePayload]:
+    """:func:`instance_from_payload` for a ``solve`` request.
+
+    A valid independent-task payload comes back as an
+    :class:`~repro.core.instance.InstancePayload`: validated and hashed in
+    one pass, its tasks built only if the service's result cache misses.
+    Every other payload — other kinds, and anything the one-pass check
+    cannot prove valid — goes through :func:`instance_from_payload`, so
+    errors are exactly its errors.
+    """
+    payload = InstancePayload.parse(data)
+    if payload is not None:
+        return payload
+    return instance_from_payload(data)
 
 
 def task_from_payload(data: object):
@@ -344,6 +380,10 @@ def result_to_payload(result: SolveResult) -> Dict[str, object]:
     payload then carries ``"provenance_truncated": [key, ...]`` naming
     every dropped extra, so clients can tell an absent record from an
     unserializable one.
+
+    Finiteness is decided here, where the few float fields are known:
+    the returned dict carries the answer, so :func:`encode_message` picks
+    its encoder without walking the assignment list again.
     """
     provenance = {
         key: result.provenance[key]
@@ -360,23 +400,41 @@ def result_to_payload(result: SolveResult) -> Dict[str, object]:
         else:
             truncated.append(key)
     assignment = None
+    assignment_non_finite = False
     if result.schedule is not None:
-        assignment = [[tid, proc] for tid, proc in result.schedule.assignment.items()]
-    payload: Dict[str, object] = {
-        "solver": result.solver,
-        "spec": result.spec,
-        "feasible": result.feasible,
-        "cmax": _clean_float(result.cmax),
-        "mmax": _clean_float(result.mmax),
-        "sum_ci": _clean_float(result.sum_ci),
-        "guarantee": [_clean_float(v) for v in result.guarantee],
-        "wall_time": _clean_float(result.wall_time),
-        "assignment": assignment,
-        "provenance": provenance,
-        "extras": extras,
-    }
+        pairs = result.schedule.assignment
+        assignment = [[tid, proc] for tid, proc in pairs.items()]
+        # Ids and processors are nearly always ints or strings; only other
+        # types (float or tuple ids, say) need the full scan.
+        assignment_non_finite = not (
+            _PLAIN_TYPES.issuperset(map(type, pairs))
+            and _PLAIN_TYPES.issuperset(map(type, pairs.values()))
+        ) and _has_non_finite(assignment)
+    cmax, mmax, sum_ci, wall_time = map(
+        _clean_float, (result.cmax, result.mmax, result.sum_ci, result.wall_time)
+    )
+    guarantee = [_clean_float(v) for v in result.guarantee]
+    payload = _ResultPayload(
+        solver=result.solver,
+        spec=result.spec,
+        feasible=result.feasible,
+        cmax=cmax,
+        mmax=mmax,
+        sum_ci=sum_ci,
+        guarantee=guarantee,
+        wall_time=wall_time,
+        assignment=assignment,
+        provenance=provenance,
+        extras=extras,
+    )
     if truncated:
         payload["provenance_truncated"] = truncated
+    payload.non_finite = (
+        not all(map(math.isfinite, (cmax, mmax, sum_ci, wall_time, *guarantee)))
+        or assignment_non_finite
+        or _has_non_finite(provenance)
+        or _has_non_finite(extras)
+    )
     return payload
 
 

@@ -42,12 +42,13 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
     result_to_payload,
+    hashed_instance_from_payload,
     instance_from_payload,
     error_code_for,
     sanitize_non_finite,
     task_from_payload,
 )
-from repro.service.service import SolverService
+from repro.service.service import OFFLOAD_TASK_COUNT, SolverService
 
 __all__ = ["handle_request", "serve_connection", "serve_tcp", "serve_stdio", "Handler"]
 
@@ -67,11 +68,10 @@ Handler = Callable[[Dict[str, object]], Awaitable[Optional[Dict[str, object]]]]
 READER_LIMIT = 32 * 1024 * 1024
 
 #: Request lines at or above this size are JSON-decoded off-loop, and solve
-#: payloads with at least :data:`~repro.service.service._OFFLOAD_TASK_COUNT`
+#: payloads with at least :data:`~repro.service.service.OFFLOAD_TASK_COUNT`
 #: tasks are rebuilt off-loop, so one huge request cannot head-of-line block
 #: every other connection.
 INLINE_DECODE_LIMIT = 256 * 1024
-OFFLOAD_TASK_COUNT = 10_000
 
 
 def _tenant_field(request: Dict[str, object]) -> Optional[str]:
@@ -178,7 +178,9 @@ async def handle_request(
                     None, instance_from_payload, data
                 )
             else:
-                instance = instance_from_payload(data)
+                # Hashed without building tasks: on a cache hit the service
+                # never needs them.
+                instance = hashed_instance_from_payload(data)
             spec = request.get("spec")
             if not isinstance(spec, str) or not spec:
                 raise ProtocolError("'spec' must be a non-empty spec string")

@@ -12,17 +12,24 @@ The request path, in order:
    touching the queue;
 2. **cache read-through** — builtin-solver requests are looked up in the
    configured cache (:mod:`repro.solvers.cache`); a hit returns
-   immediately with ``provenance["cache"] == "hit"``, bypassing the queue;
+   immediately with ``provenance["cache"] == "hit"``, bypassing the queue.
+   Every backend is read (and, after a job, written) inline on the event
+   loop: unpickling a hit holds the GIL anyway, so an executor thread
+   would free nothing and only add a hand-off.  A :class:`DiskCache`
+   directory is therefore meant to be on a local disk.  The instance may
+   arrive as an :class:`~repro.core.instance.InstancePayload` (the wire
+   server's form): hashed but not built, so a hit never builds tasks;
 3. **coalesce** — a request identical to an in-flight job (same instance
    content hash, same canonical bound spec) joins that job instead of
    recomputing: one pool execution fans out to every waiter;
 4. **admit** — a bounded semaphore caps queued+running unique jobs
    (``max_pending``); the ``"wait"`` policy parks submitters FIFO, the
    ``"reject"`` policy raises :class:`ServiceOverloadedError` immediately;
-5. **execute** — the job runs ``solve(instance, spec, cache=False)`` in
-   the process pool (worker-side caching is pointless: the parent already
-   filtered hits, and cache objects cannot be shared across processes);
-   the result is stored into the cache and fanned out.
+5. **execute** — the instance is built if it arrived as a payload, and
+   the job runs ``solve(instance, spec, cache=False)`` in the process pool
+   (worker-side caching is pointless: the parent already filtered hits,
+   and cache objects cannot be shared across processes); the result is
+   stored into the cache and fanned out.
 
 Timeouts and cancellation are *waiter-scoped*: a coalesced job keeps
 running while any client still waits for it; when the last waiter times
@@ -49,7 +56,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Dict, Optional, Set, Union
 
-from repro.core.instance import DAGInstance, Instance
+from repro.core.instance import DAGInstance, Instance, InstancePayload
 from repro.core.task import Task
 from repro.obs.logging import log_event
 from repro.obs.metrics import PHASE_LATENCY, REGISTRY, REQUEST_LATENCY, enable_metrics
@@ -61,7 +68,7 @@ from repro.service.sessions import Session, SessionManager
 from repro.service.stats import FamilyLatency, LatencyWindow, ServiceStats, merge_latency
 from repro.solvers.api import PreparedSolve, prepare, solve
 from repro.solvers.batch import shippable_custom_entries
-from repro.solvers.cache import LRUCache, cache_key, resolve_cache
+from repro.solvers.cache import cache_key, resolve_cache
 from repro.solvers.registry import register
 from repro.solvers.spec import SolverSpec
 
@@ -73,15 +80,15 @@ __all__ = [
     "ServiceTimeoutError",
 ]
 
-AnyInstance = Union[Instance, DAGInstance]
+AnyInstance = Union[Instance, DAGInstance, InstancePayload]
 
 #: Sentinel distinguishing "no timeout argument" from an explicit ``None``
 #: (which disables the configured default for this one request).
 _UNSET = object()
 
 #: Instances at or above this task count have their content hash computed
-#: off-loop (shared with the server's request-decoding threshold).
-_OFFLOAD_TASK_COUNT = 10_000
+#: off-loop; the wire server rebuilds payloads this large off-loop too.
+OFFLOAD_TASK_COUNT = 10_000
 
 
 class ServiceError(RuntimeError):
@@ -314,9 +321,11 @@ class SolverService:
         Parameters mirror :func:`repro.solvers.solve` (``params`` are spec
         overrides); ``timeout`` (seconds) overrides the configured
         per-spec/default timeout for this request — pass ``None`` to wait
-        indefinitely.  ``tenant`` attributes the request for QoS when the
-        service has tenants configured (``None`` maps to the default
-        tenant); without tenants it is ignored.  ``trace`` is an optional
+        indefinitely.  ``instance`` may be an
+        :class:`~repro.core.instance.InstancePayload`; it is built only
+        when a job must run.  ``tenant`` attributes the request for QoS
+        when the service has tenants configured (``None`` maps to the
+        default tenant); without tenants it is ignored.  ``trace`` is an optional
         wire trace context (``{"id": ..., "span": ...}``) — when span
         recording is enabled in this process the request's admission /
         cache / dispatch / kernel phases are recorded under that trace id
@@ -352,7 +361,7 @@ class SolverService:
             else None
         )
 
-        if instance.n >= _OFFLOAD_TASK_COUNT:
+        if instance.n >= OFFLOAD_TASK_COUNT:
             # Hashing a very large instance is multi-millisecond CPU work;
             # keep it off the event loop so other connections stay live.
             content = await asyncio.get_running_loop().run_in_executor(
@@ -369,7 +378,7 @@ class SolverService:
 
         if content_key is not None:
             consult_at = time.perf_counter() if tctx is not None else 0.0
-            hit = await self._cache_get(content_key)
+            hit = self._cache_get(content_key)
             if tctx is not None:
                 RECORDER.record(
                     "cache_consult", "service", tctx[0], new_span_id(), tctx[1],
@@ -465,7 +474,7 @@ class SolverService:
             # While this submitter waited for admission the identical job
             # may have already finished: serve its cached result instead of
             # recomputing (the pre-wait cache check could not see it).
-            hit = await self._cache_get(content_key)
+            hit = self._cache_get(content_key)
             if hit is not None:
                 self._release_admission(tenant_cfg)
                 self._counters["cache_hits"] += 1
@@ -473,10 +482,10 @@ class SolverService:
                     self._qos.admit_fast(tenant_cfg, "cache_hits")
                 return replace(hit, provenance={**hit.provenance, "cache": "hit"})
         if self.config.coalesce:
-            # Final synchronous re-check right before creation: the waits
-            # above (admission and/or cache I/O) may have yielded to an
-            # identical submitter that already created the job — join it
-            # rather than compute twice.
+            # Final synchronous re-check right before creation: the
+            # admission wait above may have yielded to an identical
+            # submitter that already created the job — join it rather
+            # than compute twice.
             existing = self._inflight.get(key)
             if existing is not None:
                 self._release_admission(tenant_cfg)
@@ -656,16 +665,7 @@ class SolverService:
         self._record_exec(job, prepared.entry.name, exec_at)
 
         if job.cache_key is not None and self._cache is not None:
-            try:
-                await self._cache_put(job.cache_key, result)
-            except asyncio.CancelledError:
-                # Abandoned mid-store (e.g. last waiter timed out during the
-                # disk write): the result exists — conclude with it so the
-                # admission slot is released and the ledger stays balanced.
-                # The executor thread finishes the interrupted put on its own.
-                self._counters["completed"] += 1
-                self._conclude(job, result=result)
-                raise
+            self._cache_put(job.cache_key, result)
             result = replace(result, provenance={**result.provenance, "cache": "miss"})
         self._counters["completed"] += 1
         self._conclude(job, result=result)
@@ -673,11 +673,15 @@ class SolverService:
     def _submit(self, instance: AnyInstance, prepared: PreparedSolve) -> ConcurrentFuture:
         """Hand a job to the process pool (or the in-process fallback).
 
-        Custom registry entries are shipped with the job exactly like
-        :func:`repro.solvers.solve_many` does; entries whose callables
-        cannot be pickled run in a thread instead of a worker process.
+        An :class:`~repro.core.instance.InstancePayload` is built here, the
+        first point that needs its tasks.  Custom registry entries are
+        shipped with the job exactly like :func:`repro.solvers.solve_many`
+        does; entries whose callables cannot be pickled run in a thread
+        instead of a worker process.
         """
         assert self._pool is not None
+        if isinstance(instance, InstancePayload):
+            instance = instance.build()
         entries: tuple = ()
         if not prepared.cacheable:  # not a stock builtin entry
             shippable, unpicklable = shippable_custom_entries([prepared.spec.name])
@@ -764,22 +768,22 @@ class SolverService:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    async def _cache_get(self, key: str):
-        """Cache lookup; disk-backed caches run off-loop (blocking I/O)."""
-        if isinstance(self._cache, LRUCache):
-            return self._cache.get(key)
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self._cache.get, key
-        )
+    def _cache_get(self, key: str):
+        """Cache lookup, inline on the event loop for every backend.
 
-    async def _cache_put(self, key: str, result: object) -> None:
-        """Cache store; disk-backed caches run off-loop (blocking I/O)."""
-        if isinstance(self._cache, LRUCache):
-            self._cache.put(key, result)
-            return
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._cache.put, key, result
-        )
+        A :class:`DiskCache` hit is a small file read plus an unpickle that
+        holds the GIL, so a thread hop would free nothing; keep the cache
+        directory on a local disk.
+        """
+        return self._cache.get(key)
+
+    def _cache_put(self, key: str, result: object) -> None:
+        """Cache store, inline on the event loop for every backend.
+
+        A :class:`DiskCache` store is a pickle plus an atomic local-file
+        write; like :meth:`_cache_get` it expects a local directory.
+        """
+        self._cache.put(key, result)
 
     def _effective_timeout(self, timeout: object, solver_name: str) -> Optional[float]:
         if timeout is not _UNSET:

@@ -280,10 +280,13 @@ class DiskCache(ResultCache):
                     result = pickle.load(fh)
             except FileNotFoundError:
                 continue
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            except Exception:
                 # Corrupt / truncated / stale entry: degrade to a miss and
                 # remove it so every future lookup doesn't re-pay the failed
                 # read (and the dead file doesn't occupy max_bytes budget).
+                # A damaged pickle can fail in almost any way
+                # (UnicodeDecodeError, TypeError, IndexError, MemoryError,
+                # ...), so every error counts as corruption.
                 self._unlink(path)
                 self._note_corrupt()
                 continue

@@ -30,6 +30,7 @@ from repro.solvers import (
     default_cache,
     solve,
 )
+from repro.solvers.result import SolveResult
 
 # A fixed reference instance and the pinned *literal* digest of its content.
 # If the pin fails, the hash format changed: every persistent cache in the
@@ -490,6 +491,37 @@ class TestCorruptEntryAccounting:
         assert not path.exists(), "stale entry must be removed from disk"
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
+
+    def test_truncated_or_flipped_entries_degrade_to_misses(self, tmp_path):
+        # A damaged pickle fails in many ways besides UnpicklingError
+        # (UnicodeDecodeError, TypeError, ValueError, IndexError, ...).
+        # Every lookup of a damaged entry must either serve a SolveResult
+        # or miss, unlink the file and count it corrupt — never raise.
+        cache = DiskCache(tmp_path)
+        for spec in ("lpt", "sbo(delta=1.0)", "pareto_approx(epsilon=0.5)"):
+            solve(REFERENCE, spec, cache=cache)
+        originals = {path: path.read_bytes() for path in tmp_path.rglob("*.pkl")}
+        rng = random.Random(1313)
+        damaged = 0
+        for trial in range(600):
+            path, blob = rng.choice(sorted(originals.items()))
+            data = bytearray(blob)
+            if trial % 2 == 0:
+                del data[rng.randrange(len(data)):]
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            path.write_bytes(bytes(data))
+            before = cache.stats.corrupt
+            result = cache.get(path.stem)
+            if result is None:
+                damaged += 1
+                assert not path.exists(), f"trial {trial}: corrupt entry left on disk"
+                assert cache.stats.corrupt == before + 1
+            else:
+                assert isinstance(result, SolveResult)
+                assert cache.stats.corrupt == before
+        assert damaged > 300
 
     def test_corrupt_counter_resets(self, tmp_path):
         cache = DiskCache(tmp_path)

@@ -31,7 +31,7 @@ from repro.algorithms.list_scheduling import (
 from repro.algorithms.multifit import ffd_pack, multifit_schedule
 from repro.core.bounds import mmax_lower_bound
 from repro.core.instance import DAGInstance, Instance
-from repro.core.rls import InfeasibleDeltaError, rls
+from repro.core.rls import InfeasibleDeltaError, _priority_rank, rls
 from repro.core.sbo import sbo
 from repro.core.task import Task
 
@@ -313,21 +313,57 @@ def test_multifit_parity(seed, m):
                 seed_ffd_pack(instance.tasks.tasks, m, capacity, objective)
 
 
+RLS_ORDERS = ("arbitrary", "spt", "lpt", "bottom-level")
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("delta", (2.0, 2.5, 4.0))
 def test_rls_parity(seed, delta):
-    dag = make_dag(seed, m=3)
-    for order in ("arbitrary", "spt", "lpt", "bottom-level"):
-        got = rls(dag, delta, order=order)
-        from repro.core.rls import _priority_rank
+    # Every serving request is independent, so the edge-free path (an
+    # Instance lifted to a DAG inside rls) is pinned next to real DAGs.
+    for instance in (make_dag(seed, m=3), make_instance(seed, m=3)):
+        dag = instance if isinstance(instance, DAGInstance) else instance.as_dag()
+        for order in RLS_ORDERS:
+            got = rls(instance, delta, order=order)
+            rank = _priority_rank(dag, order)
+            expected_assignment, expected_starts, expected_marked = seed_rls(
+                dag, delta, rank
+            )
+            case = (type(instance).__name__, seed, delta, order)
+            assert got.schedule.assignment == expected_assignment, case
+            assert got.schedule.start_times == expected_starts, case
+            assert got.marked_processors == tuple(sorted(expected_marked)), case
 
-        rank = _priority_rank(dag, order)
-        expected_assignment, expected_starts, expected_marked = seed_rls(
-            dag, delta, rank
-        )
-        assert got.schedule.assignment == expected_assignment, (seed, delta, order)
-        assert got.schedule.start_times == expected_starts, (seed, delta, order)
-        assert got.marked_processors == tuple(sorted(expected_marked)), (seed, delta, order)
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rls_parity_below_two(seed):
+    """Δ < 2 on edge-free instances: the same schedule, or the same refusal.
+
+    Below 2 a task may fit on no processor; the kernel must then raise
+    :class:`InfeasibleDeltaError` for the same task as the seed loop.
+    """
+    outcomes = set()
+    for m in (2, 3, 7):
+        instance = make_instance(seed, m=m)
+        dag = instance.as_dag()
+        for delta in (0.5, 1.0, 1.25, 1.5, 1.9):
+            for order in RLS_ORDERS:
+                rank = _priority_rank(dag, order)
+                case = (seed, m, delta, order)
+                try:
+                    expected = seed_rls(dag, delta, rank)
+                except InfeasibleDeltaError as exc:
+                    outcomes.add("refused")
+                    with pytest.raises(InfeasibleDeltaError) as got:
+                        rls(instance, delta, order=order)
+                    assert got.value.task_id == exc.task_id, case
+                    continue
+                outcomes.add("placed")
+                got = rls(instance, delta, order=order)
+                assert got.schedule.assignment == expected[0], case
+                assert got.schedule.start_times == expected[1], case
+                assert got.marked_processors == tuple(sorted(expected[2])), case
+    assert outcomes == {"refused", "placed"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -348,6 +348,35 @@ class TestCacheReadThrough:
 
         run(scenario())
 
+    def test_wire_payload_built_only_on_miss(self, inst, tmp_path, monkeypatch):
+        # A wire solve hands the service a hashed InstancePayload: the
+        # disk-cache hit must be served without building the Instance.
+        from repro.core.instance import InstancePayload
+        from repro.service.server import handle_request
+
+        builds = []
+        build = InstancePayload.build
+        monkeypatch.setattr(InstancePayload, "build",
+                            lambda self: builds.append(self) or build(self))
+
+        async def scenario():
+            async with SolverService(workers=1, cache=str(tmp_path / "c")) as svc:
+                request = decode_message(encode_message(solve_request(inst, "sbo(delta=1.0)", 1)))
+                cold = await handle_request(svc, request)
+                warm = await handle_request(svc, request)
+                stats = svc.stats()
+            return cold, warm, stats
+
+        cold, warm, stats = run(scenario())
+        assert len(builds) == 1
+        assert cold["result"]["provenance"]["cache"] == "miss"
+        assert warm["result"]["provenance"]["cache"] == "hit"
+        assert stats.cache_hits == 1 and stats.completed == 1 and stats.lost == 0
+        direct = result_to_payload(solve(inst, "sbo(delta=1.0)", cache=False))
+        for response in (cold, warm):
+            assert response["result"]["assignment"] == direct["assignment"]
+            assert response["result"]["cmax"] == direct["cmax"]
+
 
 # --------------------------------------------------------------------------- #
 # coalescing

@@ -6,10 +6,14 @@ Covers the two wire-layer guarantees of the line-delimited JSON codec:
   marker (deeply nested provenance used to be *silently* dropped past
   depth 3);
 * the ``orjson`` encode/decode fast path — exercised through a stub
-  module, since the accelerator is optional and absent here: payloads
-  containing non-finite floats must take the stdlib path (orjson would
-  silently serialize ``inf`` as ``null``), strict payloads may take the
-  fast path, and both produce the identical documented wire format.
+  module, so the gating is pinned with or without the accelerator
+  installed: payloads containing non-finite floats must take the stdlib
+  path (orjson would silently serialize ``inf`` as ``null``), strict
+  payloads may take the fast path, and both produce the identical
+  documented wire format;
+* solve responses, whose finiteness ``result_to_payload`` decides, encode
+  to the same bytes as a full recursive scan would choose — with the real
+  orjson and with the stdlib encoder.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class TestProvenanceDepth:
 
 
 # --------------------------------------------------------------------------- #
-# orjson gating (via stub: the accelerator is not installed in CI)
+# orjson gating (via stub: the gate is pinned whether or not orjson is installed)
 # --------------------------------------------------------------------------- #
 class _FakeOrjson:
     """Mimics orjson's contract: strict JSON only, bytes out, TypeError on
@@ -176,3 +180,82 @@ class TestOrjsonGate:
         monkeypatch.setattr(protocol, "_orjson", None)
         payload = {"a": [1.0, math.inf], "b": "x"}
         assert decode_message(encode_message(payload)) == payload
+
+
+# --------------------------------------------------------------------------- #
+# solve responses: byte-identical to the full-scan encoder
+# --------------------------------------------------------------------------- #
+def _full_scan_non_finite(value: object) -> bool:
+    """The recursive scan encode_message ran over every whole response."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(_full_scan_non_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_full_scan_non_finite(v) for v in value)
+    return False
+
+
+def _plain(value: object) -> object:
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _full_scan_encode(payload: dict) -> bytes:
+    """encode_message before result payloads carried their finiteness."""
+    payload = _plain(payload)
+    if protocol._orjson is not None and not _full_scan_non_finite(payload):
+        try:
+            return protocol._orjson.dumps(payload) + b"\n"
+        except TypeError:
+            pass
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _wire_cases():
+    from repro.core.instance import DAGInstance
+    from repro.extensions.uniform_machines import UniformInstance
+    from repro.workloads import workload_suite
+
+    mix = ("lpt", "multifit", "sbo(delta=0.5)", "sbo(delta=1.0)",
+           "sbo(delta=2.0, inner=multifit)", "rls(delta=2.5)", "trio(delta=2.5)",
+           "pareto_approx(epsilon=0.5)")
+    instance = next(iter(workload_suite(60, 4, seed=0).values()))
+    cases = [(spec, solve(instance, spec, cache=False)) for spec in mix]
+    dag = DAGInstance.from_lists(p=[3, 2, 1, 4, 2], s=[1, 2, 2, 1, 3], m=2,
+                                 edges=[(0, 1), (0, 2), (2, 3), (1, 4)])
+    cases.append(("dag rls", solve(dag, "rls(delta=3)", cache=False)))
+    uniform = UniformInstance.from_lists(p=[4, 3, 2, 2, 1], s=[1, 5, 2, 4, 3], speeds=[1.0, 2.5])
+    cases.append(("uniform", solve(uniform, "uniform_list", cache=False)))
+    small = Instance.from_lists(p=[4, 3, 2, 2, 1], s=[1, 5, 2, 4, 3], m=2)
+    infeasible = solve(small, "constrained(budget=0.01)", cache=False)
+    assert not infeasible.feasible
+    cases.append(("infeasible constrained", infeasible))
+    # Ids the type shortcut cannot vouch for: the full scan must still decide.
+    odd = Instance.from_lists(p=[1, 2, 3], s=[3, 2, 1], m=2, ids=[0.5, (1, 2.5), "x"])
+    cases.append(("float and tuple ids", solve(odd, "sbo(delta=1.0)", cache=False)))
+    unbounded = Instance.from_lists(p=[1, 2], s=[2, 1], m=2, ids=[math.inf, -math.inf])
+    cases.append(("infinite ids", solve(unbounded, "sbo(delta=1.0)", cache=False)))
+    return cases
+
+
+WIRE_CASES = _wire_cases()
+
+
+class TestSolveResponseBytes:
+    @pytest.fixture(params=["orjson", "stdlib"])
+    def encoder(self, request, monkeypatch):
+        if request.param == "orjson":
+            pytest.importorskip("orjson")
+        else:
+            monkeypatch.setattr(protocol, "_orjson", None)
+        return request.param
+
+    @pytest.mark.parametrize("name,result", WIRE_CASES, ids=[name for name, _ in WIRE_CASES])
+    def test_bytes_match_full_scan(self, encoder, name, result):
+        for request_id in (7, "req-7", None, math.nan):
+            response = {"id": request_id, "ok": True, "result": result_to_payload(result)}
+            assert encode_message(response) == _full_scan_encode(response), (name, request_id)
