@@ -401,7 +401,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenants=args.tenants,
             default_tenant=args.default_tenant,
             trace=args.trace,
-            metrics=args.metrics_port is not None,
             slow_request_threshold=args.slow_request_threshold,
         )
     except (ValueError, OSError) as exc:
@@ -512,9 +511,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 from repro.obs.httpd import start_metrics_server
 
                 async def render_metrics() -> str:
-                    # The `metrics` wire op already merges router counters
-                    # with the per-shard registry fan-out; scrape the same
-                    # path so HTTP and wire expositions cannot diverge.
+                    # Scrape through the `metrics` wire op so HTTP and wire
+                    # expositions cannot diverge.
                     response = await router.handle({"op": "metrics", "id": 0})
                     return str(response.get("text", ""))
 
@@ -576,8 +574,8 @@ def _fmt_num(value: object) -> str:
 def _fmt_ms(value: object) -> str:
     """Milliseconds with two decimals; ``-`` for absent/non-finite values.
 
-    The protocol boundary sanitizes NaN percentiles (empty latency
-    windows) to ``null``, which arrives here as ``None``.
+    The protocol boundary sanitizes NaN percentiles (an empty latency
+    histogram) to ``null``, which arrives here as ``None``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return "-"
@@ -995,8 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "dumped via `repro trace dump` or the `trace` wire op)")
     srv.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                      help="serve Prometheus text exposition over HTTP on this "
-                          "port (0 picks a free one) and enable live "
-                          "latency-histogram recording")
+                          "port (0 picks a free one): the stats counters and the "
+                          "always-recorded latency histograms (since start)")
     srv.add_argument("--slow-request-threshold", type=float, default=None,
                      metavar="SECONDS",
                      help="log one structured line for every request slower "
@@ -1071,8 +1069,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(one trace id covers route -> shard -> kernel)")
     clu.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                      help="serve cluster-wide Prometheus text exposition "
-                          "(router counters merged with every shard's "
-                          "registry) over HTTP on this port")
+                          "(the merged stats: summed counters, router ledger and "
+                          "the exact merge of every shard's latency histograms) "
+                          "over HTTP on this port")
     clu.set_defaults(func=_cmd_cluster)
 
     sts = sub.add_parser(

@@ -33,9 +33,11 @@ Request paths:
   its shard, surfaced as :class:`SessionLostError` with the stable
   ``error.code`` ``session_lost``.
 * ``stats`` — fanned out and merged (:mod:`repro.cluster.stats`),
-  counters summed and family latency percentiles merged count-weighted,
-  plus the router's own ledger (routed / retried / handoffs / shard
-  lifecycle / journal replays / remote probes).
+  counters summed and the shards' latency histograms merged exactly
+  (percentiles since each shard started, within one bucket), plus the
+  router's own ledger (routed / retried / handoffs / shard lifecycle /
+  journal replays / remote probes).  ``metrics`` renders the same merged
+  payload as Prometheus exposition, with no second fan-out.
 
 **Cache affinity invariant.**  Shards do *not* share cache storage: by
 default every spawned shard gets its own cache subdirectory, and an
@@ -77,6 +79,7 @@ from repro.cluster.journal import SessionJournal
 from repro.cluster.routing import rank, request_key
 from repro.cluster.stats import ClusterStats, merge_shard_stats
 from repro.obs.logging import log_event
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     RECORDER,
     enable_tracing,
@@ -198,6 +201,9 @@ class ClusterRouter:
         #: slot capacity tracks ``routable shards x max_pending``, so quotas
         #: and weighted fair shares hold over the whole cluster.
         self._qos: Optional[AdmissionController] = None
+        #: The router's own histograms (its controller's tenant queue
+        #: wait), merged with the shards' into the cluster ``stats``.
+        self._registry = MetricsRegistry()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -230,6 +236,7 @@ class ClusterRouter:
                 capacity=self._qos_capacity(),
                 policy=self.config.qos_policy,
             )
+            self._registry.add(self._qos.queue_wait)
         return self
 
     async def close(self) -> None:
@@ -1267,32 +1274,14 @@ class ClusterRouter:
             payloads,
             router=self.router_counters(),
             tenants=self._qos.snapshot() if self._qos is not None else None,
+            histograms=self._registry.to_dict(),
         )
 
     async def _metrics(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The ``metrics`` op: cluster stats + exact shard histogram merge.
+        """The ``metrics`` op: the merged cluster ``stats`` as exposition.
 
-        Shard latency *histograms* are fetched in the mergeable dict form
-        and summed bucket-by-bucket — unlike the count-weighted percentile
-        merge of :func:`repro.cluster.stats.merge_families`, the merged
-        histogram is exactly the histogram of the concatenated samples.
+        Counters come from the summed totals and router ledger, latency
+        from the exactly merged shard histograms the stats fan-out
+        already fetched — one fan-out, every sample counted once.
         """
-        stats = await self.stats()
-        names = self.shard_names()
-        shards = [self._shards[name] for name in names]
-
-        async def one(shard: ShardHandle):
-            try:
-                response = await shard.request({"op": "metrics", "format": "dict"})
-            except (ConnectionError, OSError):
-                await self._mark_dead(shard)
-                return None
-            return response.get("metrics") if response.get("ok") else None
-
-        gathered = await asyncio.gather(*(one(shard) for shard in shards))
-        return _metrics_response(
-            request,
-            stats.to_dict(),
-            router_counters=self.router_counters(),
-            extra_registries=[p for p in gathered if isinstance(p, dict)],
-        )
+        return _metrics_response(request, (await self.stats()).to_dict())

@@ -3,14 +3,13 @@
 :func:`merge_shard_stats` folds the per-shard ``stats`` op payloads into
 a single :class:`ClusterStats`: counters and gauges are summed, the
 ``lost`` ledgers are summed (zero on every shard ⇒ zero cluster-wide),
-and the per-solver-family latency breakdowns are merged
-*count-weighted*: percentiles of disjoint windows cannot be combined
-exactly from percentiles alone, so the merged ``p50/p90/p99/mean`` are
-the sample-count-weighted averages of the shard values (``max`` is the
-true max, ``count`` the true sum).  For shards serving the same routed
-traffic mix this tracks the true percentile closely; it is documented
-as an approximation in :meth:`ClusterStats.to_dict` consumers' favor —
-monitoring, not billing.
+and the latency histograms every shard ships under ``histograms`` are
+merged exactly (bucket counts add; :mod:`repro.obs.metrics`).  The
+cluster ``families`` / ``phases`` / tenant ``queue_wait`` views are
+rendered from that merge, so a cluster percentile is the percentile of
+all shards' samples together: since each shard started, within one
+bucket (at most 19 % relative error), with exact ``count``, ``mean``
+and ``max``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.qos.stats import merge_tenant_snapshots, merge_windows
+from repro.obs.metrics import MetricsRegistry
+from repro.qos.stats import QUEUE_WAIT_HISTOGRAM, merge_tenant_snapshots
+from repro.service.stats import latency_fields
 
-__all__ = ["ClusterStats", "merge_shard_stats", "merge_families"]
+__all__ = ["ClusterStats", "merge_shard_stats"]
 
 #: Shard counters/gauges that sum into the cluster view.  ``lost`` is
 #: derived on each shard and sums like a counter: zero everywhere ⇒ zero.
@@ -40,13 +41,16 @@ class ClusterStats:
 
     ``totals`` sums every shard counter and gauge (see the shard-level
     :class:`~repro.service.stats.ServiceStats` for their semantics);
-    ``families`` is the count-weighted merge of the per-family latency
-    breakdowns; ``phases`` does the same merge per lifecycle phase
-    (``queue_wait`` / ``exec``, the split the QoS benchmark bounds);
-    ``tenants`` is the cluster-wide per-tenant QoS ledger — the router's
-    own admission controller slice merged with any per-shard slices via
+    ``families`` is the per-family latency view of the merged request
+    histogram; ``phases`` the same per lifecycle phase (``queue_wait`` /
+    ``exec``, the split the QoS benchmark bounds); ``tenants`` is the
+    cluster-wide per-tenant QoS ledger — the router's own admission
+    controller slice merged with any per-shard slices via
     :func:`repro.qos.stats.merge_tenant_snapshots` (empty with QoS off);
-    ``shards`` maps shard name to its raw stats payload;
+    ``histograms`` is the merged registry every one of those latency
+    views is rendered from (its ``to_dict`` form);
+    ``shards`` maps shard name to its raw stats payload, less the
+    ``histograms`` already folded into the merged ones;
     ``router`` carries the router's own ledger: ``routed`` solve routing
     decisions, each ending in exactly one of ``completed`` (a shard
     response relayed), ``retried`` (transport-failure re-route), or
@@ -72,6 +76,7 @@ class ClusterStats:
     tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
     shards: Dict[str, Dict[str, object]] = field(default_factory=dict)
     router: Dict[str, int] = field(default_factory=dict)
+    histograms: Dict[str, object] = field(default_factory=dict)
 
     @property
     def lost(self) -> int:
@@ -89,35 +94,29 @@ class ClusterStats:
             "tenants": {k: dict(v) for k, v in self.tenants.items()},
             "router": dict(self.router),
             "shards": {k: dict(v) for k, v in self.shards.items()},
+            "histograms": dict(self.histograms),
         }
-
-
-def merge_families(
-    breakdowns: List[Mapping[str, Mapping[str, float]]],
-) -> Dict[str, Dict[str, float]]:
-    """Count-weighted merge of per-shard family latency breakdowns."""
-    windows: Dict[str, List[Mapping[str, float]]] = {}
-    for breakdown in breakdowns:
-        for family, snap in breakdown.items():
-            windows.setdefault(family, []).append(snap)
-    return {family: merge_windows(windows[family]) for family in sorted(windows)}
 
 
 def merge_shard_stats(
     shard_payloads: Mapping[str, Mapping[str, object]],
     router: Mapping[str, int],
     tenants: Optional[Mapping[str, Mapping[str, object]]] = None,
+    histograms: Optional[Mapping[str, object]] = None,
 ) -> ClusterStats:
     """Fold per-shard ``stats`` payloads + the router ledger into one view.
 
     ``tenants`` is the router's own admission-controller snapshot (QoS is
-    enforced at the router, so this is normally the authoritative slice);
-    any per-shard ``tenants`` slices are merged in on top, so a topology
-    that does run QoS on its shards still adds up.
+    enforced at the router, so this is normally the authoritative slice)
+    and ``histograms`` the router's own registry (its controller's
+    queue-wait histogram); any per-shard ``tenants`` slices and every
+    shard's ``histograms`` are merged in on top, so a topology that does
+    run QoS on its shards still adds up.
     """
     totals: Dict[str, int] = {key: 0 for key in _SUMMED_KEYS}
-    breakdowns: List[Mapping[str, Mapping[str, float]]] = []
-    phase_breakdowns: Dict[str, List[Mapping[str, Mapping[str, float]]]] = {}
+    registry = MetricsRegistry()
+    if histograms:
+        registry.merge(histograms)
     tenant_slices: List[Mapping[str, Mapping[str, object]]] = []
     if tenants:
         tenant_slices.append(tenants)
@@ -126,23 +125,21 @@ def merge_shard_stats(
             value = payload.get(key, 0)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 totals[key] += int(value)
-        families = payload.get("families")
-        if isinstance(families, Mapping):
-            breakdowns.append(families)  # type: ignore[arg-type]
-        phases = payload.get("phases")
-        if isinstance(phases, Mapping):
-            for phase, breakdown in phases.items():
-                if isinstance(breakdown, Mapping):
-                    phase_breakdowns.setdefault(str(phase), []).append(breakdown)
+        shard_histograms = payload.get("histograms")
+        if isinstance(shard_histograms, Mapping):
+            registry.merge(shard_histograms)
         tenant_slice = payload.get("tenants")
         if isinstance(tenant_slice, Mapping) and tenant_slice:
             tenant_slices.append(tenant_slice)  # type: ignore[arg-type]
+    latency = latency_fields(registry)
     return ClusterStats(
         totals=totals,
-        families=merge_families(breakdowns),
-        phases={phase: merge_families(phase_breakdowns[phase])
-                for phase in sorted(phase_breakdowns)},
-        tenants=merge_tenant_snapshots(tenant_slices),
-        shards={name: dict(payload) for name, payload in shard_payloads.items()},
+        families=latency["families"],  # type: ignore[arg-type]
+        phases=latency["phases"],  # type: ignore[arg-type]
+        tenants=(merge_tenant_snapshots(tenant_slices, registry.histogram(*QUEUE_WAIT_HISTOGRAM))
+                 if tenant_slices else {}),
+        shards={name: {key: value for key, value in payload.items() if key != "histograms"}
+                for name, payload in shard_payloads.items()},
         router=dict(router),
+        histograms=registry.to_dict(),
     )

@@ -12,8 +12,10 @@ One subsystem turns the scattered per-layer stats snapshots
 * :mod:`repro.obs.metrics` — typed ``Counter`` / ``Gauge`` /
   ``Histogram`` primitives with *mergeable* fixed-boundary histograms
   (bucket counts add, so a cross-shard merge is exactly the histogram
-  of the concatenated samples), Prometheus text exposition, and a tiny
-  asyncio scrape endpoint (``repro serve --metrics-port``).
+  of the concatenated samples) and Prometheus text exposition.  These
+  histograms are the serving layers' one latency store: always
+  recorded, since service start, percentiles within one bucket.  A
+  tiny asyncio scrape endpoint serves them (``repro serve --metrics-port``).
 * :mod:`repro.obs.adapters` — populate a registry from the existing
   stats snapshots without changing them.
 * :mod:`repro.obs.profile` — opt-in ``ProfileScope`` phase accounting
@@ -22,9 +24,11 @@ One subsystem turns the scattered per-layer stats snapshots
   that used to vanish silently (shard death, journal replay, autoscale
   decisions) plus the slow-request log.
 
-Everything is **off by default and zero-cost when disabled**: hot paths
-pay one attribute check, the wire format is byte-identical when no
-``trace`` field is present, and the bench floors gate the overhead.
+Tracing, profiling and the event log are **off by default and zero-cost
+when disabled**: hot paths pay one attribute check, the wire format is
+byte-identical when no ``trace`` field is present, and the bench floors
+gate the overhead.  Latency histograms are always on (one ``observe``
+per request).
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    REGISTRY,
-    disable_metrics,
-    enable_metrics,
-    metrics_enabled,
 )
 from repro.obs.profile import PROFILER, ProfileScope, disable_profiling, enable_profiling
 from repro.obs.trace import (
@@ -74,10 +74,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
     "PROFILER",
     "ProfileScope",
     "enable_profiling",

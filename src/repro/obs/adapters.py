@@ -4,9 +4,9 @@ The serving layers already expose carefully-specified snapshots
 (:class:`~repro.service.stats.ServiceStats`, the router counter ledger,
 per-tenant QoS slices).  These adapters translate those payload dicts
 into typed metrics *without changing the sources* — the `metrics` wire
-op and the ``--metrics-port`` scrape endpoint are built on top of the
-snapshots plus the live histograms in
-:data:`repro.obs.metrics.REGISTRY`.
+op and the ``--metrics-port`` scrape endpoint are built from one
+``stats`` payload: its counters and gauges, and the latency histograms
+it ships under ``histograms``, plus this process's profiler.
 
 Metric naming scheme (documented in DESIGN.md):
 
@@ -14,12 +14,10 @@ Metric naming scheme (documented in DESIGN.md):
   ``completed``, ``cache_hits``, ...);
 * ``repro_<gauge>`` — instantaneous gauges (``queue_depth``,
   ``in_flight``, ``pending``, ``sessions_open``);
-* ``repro_family_latency_seconds{family=...,quantile=...}`` — the
-  windowed per-family percentile snapshot mirrored as gauges (these are
-  window percentiles, not histogram quantiles);
-* ``repro_request_latency_seconds`` / ``repro_phase_latency_seconds`` —
-  live mergeable histograms (only populated while metrics recording is
-  enabled);
+* ``repro_request_latency_seconds{family}`` /
+  ``repro_phase_latency_seconds{phase,family}`` /
+  ``repro_tenant_queue_wait_seconds{tenant}`` — the mergeable latency
+  histograms the ``stats`` percentiles are rendered from (since start);
 * ``repro_tenant_*`` — per-tenant QoS slices;
 * ``repro_router_<counter>_total`` / ``repro_shards_alive`` — router
   ledger and shard-set gauges;
@@ -32,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILER
 
 __all__ = [
@@ -51,8 +49,6 @@ _STATS_COUNTERS = (
 
 _STATS_GAUGES = ("queue_depth", "in_flight", "pending", "sessions_open")
 
-_FAMILY_QUANTILES = ("p50", "p90", "p99", "mean", "max")
-
 
 def _finite(value: object) -> Optional[float]:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -69,7 +65,8 @@ def registry_from_service_stats(
 
     Accepts both the flat :meth:`ServiceStats.to_dict` shape and the
     cluster shape (``{"cluster": true, "totals": {...}, ...}``) — the
-    cluster totals/families/tenants are read from their nested keys.
+    cluster totals/tenants are read from their nested keys.  The
+    payload's ``histograms`` are merged in as they are.
     """
     registry = registry if registry is not None else MetricsRegistry()
     counters = payload.get("totals") if payload.get("cluster") else payload
@@ -87,32 +84,9 @@ def registry_from_service_stats(
         if value is not None:
             registry.gauge(f"repro_{name}", f"Instantaneous {name}").set(value)
 
-    latency_count = _finite(counters.get("latency_count"))
-    if latency_count is not None:
-        registry.counter(
-            "repro_latency_observations_total", "Recorded request latencies"
-        ).set_total(latency_count)
-
-    families = payload.get("families")
-    if isinstance(families, Mapping):
-        family_gauge = registry.gauge(
-            "repro_family_latency_seconds",
-            "Windowed per-family latency percentiles (window snapshot, not histogram)",
-            ("family", "quantile"),
-        )
-        family_count = registry.counter(
-            "repro_family_requests_total", "Requests recorded per family", ("family",)
-        )
-        for family, snap in families.items():
-            if not isinstance(snap, Mapping):
-                continue
-            count = _finite(snap.get("count"))
-            if count is not None:
-                family_count.set_total(count, family)
-            for quantile in _FAMILY_QUANTILES:
-                value = _finite(snap.get(quantile))
-                if value is not None:
-                    family_gauge.set(value, family, quantile)
+    histograms = payload.get("histograms")
+    if isinstance(histograms, Mapping):
+        registry.merge(histograms)
 
     tenants = payload.get("tenants")
     if isinstance(tenants, Mapping) and tenants:
@@ -204,23 +178,12 @@ def add_profile_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     return registry
 
 
-def build_metrics_registry(
-    stats_payload: Optional[Mapping[str, object]] = None,
-    router_counters: Optional[Mapping[str, object]] = None,
-) -> MetricsRegistry:
-    """One registry combining snapshots, live histograms, and the profiler.
+def build_metrics_registry(stats_payload: Mapping[str, object]) -> MetricsRegistry:
+    """One registry combining a stats snapshot and the profiler.
 
     This is what the ``metrics`` wire op and the scrape endpoint serve:
-    adapter-mirrored counters/gauges from the given snapshot(s), the
-    live mergeable histograms accumulated in the global
-    :data:`~repro.obs.metrics.REGISTRY` (empty unless metric recording
-    is enabled), and profiler totals (empty unless profiling is on).
+    adapter-mirrored counters/gauges (and, for a cluster payload, the
+    router ledger) and the shipped latency histograms of the snapshot,
+    plus this process's profiler totals (empty unless profiling is on).
     """
-    registry = MetricsRegistry()
-    if stats_payload is not None:
-        registry_from_service_stats(stats_payload, registry)
-    if router_counters is not None:
-        registry_from_router(router_counters, registry)
-    registry.merge(REGISTRY.to_dict())
-    add_profile_metrics(registry)
-    return registry
+    return add_profile_metrics(registry_from_service_stats(stats_payload))

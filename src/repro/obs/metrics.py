@@ -9,22 +9,24 @@ The registry holds typed metric families, each optionally labelled::
     lat.observe(0.012, "sbo")
     print(reg.render())          # Prometheus text exposition
 
-Histograms use **fixed boundaries**, so merging two histograms is exact
+Histograms are the one latency store of the serving layers: every
+:class:`~repro.service.SolverService` records its request, phase and
+tenant queue-wait latencies into its own registry, always, and renders
+its ``stats`` percentiles from it.  They use **fixed boundaries**
+(:data:`LATENCY_BUCKETS`), so merging two histograms is exact
 bucket-count addition: the merge of per-shard histograms equals the
-histogram of the concatenated samples — the guarantee the old
-count-weighted percentile merge in :mod:`repro.cluster.stats` could not
-make (that path is kept for the legacy ``stats`` op; the ``metrics`` op
-uses this one).  Quantiles are then *estimated* from bucket boundaries
-(upper-bound-of-bucket rule), which is the standard Prometheus
-trade-off: exact merge, approximate quantile — the reverse of the old
-one.
+histogram of the concatenated samples, which is how a cluster router
+gets its cluster-wide percentiles.  Each series also keeps its exact
+``min`` and ``max``.  Quantiles are *estimated*: interpolated linearly
+inside the bucket that holds the nearest-rank sample and clamped to
+``[min, max]``, so an estimate is within one bucket (at most 19 %
+relative error) of the true value, ``count``/``mean``/``max`` are exact,
+and a series of one repeated value reports that value exactly.  The
+numbers cover every sample since the histogram was created, like any
+Prometheus histogram.
 
-``to_dict`` / ``from_dict`` / ``merge`` give the structured wire form
-the cluster router uses to fold shard registries into one.
-
-The process-global :data:`REGISTRY` is what live serving code records
-into; it is **disabled by default** and hot paths guard on the single
-``REGISTRY.enabled`` attribute.
+``to_dict`` / ``from_dict`` / ``merge`` give the structured wire form:
+the ``histograms`` key of a ``stats`` payload, folded by the router.
 """
 
 from __future__ import annotations
@@ -32,25 +34,24 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
-    "DEFAULT_LATENCY_BUCKETS",
+    "LATENCY_BUCKETS",
+    "MAX_LABEL_SETS",
 ]
 
-#: Default latency bucket upper bounds (seconds): 100 µs .. 30 s.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
+#: Latency bucket upper bounds (seconds): ``2**(k/4)`` for k = -80..40,
+#: about 0.95 µs to 1,024 s.  Neighbours differ by a factor 2**(1/4)
+#: (≈1.19), the growth factor of Prometheus native-histogram schema 2.
+LATENCY_BUCKETS: Tuple[float, ...] = tuple(2.0 ** (k / 4) for k in range(-80, 41))
+
+#: Label sets one histogram keeps before evicting the least recently observed.
+MAX_LABEL_SETS = 64
 
 _LabelKey = Tuple[str, ...]
 
@@ -98,7 +99,7 @@ class _Metric:
                 f"{self.name}: expected {len(self.labelnames)} label value(s) "
                 f"{self.labelnames}, got {len(labelvalues)}"
             )
-        return tuple(str(v) for v in labelvalues)
+        return tuple(map(str, labelvalues))
 
     def _header(self) -> List[str]:
         lines = []
@@ -191,12 +192,23 @@ class Gauge(_Metric):
 
 
 class _HistogramSeries:
-    __slots__ = ("buckets", "total", "count")
+    __slots__ = ("buckets", "total", "count", "min", "max")
 
     def __init__(self, nbuckets: int) -> None:
         self.buckets = [0] * nbuckets   # one per boundary + one overflow
         self.total = 0.0
         self.count = 0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def add(self, buckets: Sequence[int], total: float, count: int,
+            minimum: float, maximum: float) -> None:
+        for index, bucket_count in enumerate(buckets):
+            self.buckets[index] += bucket_count
+        self.total += total
+        self.count += count
+        self.min = min(self.min, minimum)
+        self.max = max(self.max, maximum)
 
 
 class Histogram(_Metric):
@@ -205,8 +217,14 @@ class Histogram(_Metric):
     ``boundaries`` are the inclusive upper bounds of the finite buckets
     (Prometheus ``le`` semantics); one implicit ``+Inf`` bucket catches
     the overflow.  Two histograms with identical boundaries merge by
-    adding bucket counts, counts, and sums — exactly the histogram the
+    adding bucket counts, counts and sums and taking the min of the
+    minima and the max of the maxima — exactly the histogram the
     concatenated sample stream would have produced.
+
+    At most :data:`MAX_LABEL_SETS` label sets are kept: a new one evicts
+    the least recently observed (counted in :attr:`evicted`), so label
+    values a client can influence (solver family names) cannot grow
+    memory without bound.
     """
 
     kind = "histogram"
@@ -216,7 +234,7 @@ class Histogram(_Metric):
         name: str,
         help: str = "",
         labelnames: Sequence[str] = (),
-        boundaries: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+        boundaries: Sequence[float] = LATENCY_BUCKETS,
     ) -> None:
         super().__init__(name, help, labelnames)
         bounds = tuple(float(b) for b in boundaries)
@@ -228,47 +246,113 @@ class Histogram(_Metric):
             raise ValueError(f"{name}: boundaries must be finite (got {bounds})")
         self.boundaries: Tuple[float, ...] = bounds
         self._series: Dict[_LabelKey, _HistogramSeries] = {}
+        #: Label sets dropped by the :data:`MAX_LABEL_SETS` bound (cumulative).
+        self.evicted = 0
+
+    def _series_for(self, key: _LabelKey) -> _HistogramSeries:
+        """The series of ``key``, moved to most recent (caller holds the lock)."""
+        series = self._series.pop(key, None)
+        if series is None:
+            series = _HistogramSeries(len(self.boundaries) + 1)
+            while len(self._series) >= MAX_LABEL_SETS:
+                del self._series[next(iter(self._series))]
+                self.evicted += 1
+        # Dict order is recency of observation: the eviction above always
+        # drops the least recently observed label set.
+        self._series[key] = series
+        return series
 
     def observe(self, value: float, *labelvalues: object) -> None:
         key = self._key(labelvalues)
         index = bisect.bisect_left(self.boundaries, value)
         with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.boundaries) + 1)
+            series = self._series_for(key)
             series.buckets[index] += 1
             series.total += value
             series.count += 1
+            if value < series.min:
+                series.min = value
+            if value > series.max:
+                series.max = value
 
     def collect(self) -> Dict[_LabelKey, Dict[str, object]]:
         with self._lock:
             return {
-                key: {"buckets": list(s.buckets), "sum": s.total, "count": s.count}
+                key: {"buckets": list(s.buckets), "sum": s.total, "count": s.count,
+                      "min": s.min, "max": s.max}
                 for key, s in self._series.items()
             }
 
-    def quantile(self, q: float, *labelvalues: object) -> float:
-        """Estimated ``q``-quantile (0..1): upper bound of the covering bucket.
+    def _quantiles(self, series: _HistogramSeries, qs: Sequence[float]) -> List[float]:
+        """Estimated ``qs`` quantiles (ascending, 0..1) of one non-empty series.
 
-        ``nan`` when the series is empty; ``+Inf``-bucket hits report the
-        largest finite boundary (the standard Prometheus convention).
+        The bucket holding the nearest-rank sample is found exactly; the
+        estimate is interpolated linearly inside it, with the bucket's
+        edges clamped to the series' exact ``[min, max]``.  So it lies
+        within one bucket of the nearest-rank value, is monotone in
+        ``q``, and a series of one repeated value reports that value.
+        Below the first or above the last boundary the bucket is open,
+        and the estimate is only bounded by ``min`` or ``max``.
         """
+        ranks = [max(1, math.ceil(q * series.count)) for q in qs]
+        out: List[float] = []
+        cumulative = 0
+        for index, bucket_count in enumerate(series.buckets):
+            if not bucket_count:
+                continue
+            before, cumulative = cumulative, cumulative + bucket_count
+            lo = max(self.boundaries[index - 1], series.min) if index else series.min
+            hi = (min(self.boundaries[index], series.max)
+                  if index < len(self.boundaries) else series.max)
+            while len(out) < len(ranks) and ranks[len(out)] <= cumulative:
+                estimate = lo + (hi - lo) * (ranks[len(out)] - before) / bucket_count
+                out.append(min(hi, max(lo, estimate)))
+            if len(out) == len(ranks):
+                break
+        return out
+
+    def _summarize(self, series: Optional[_HistogramSeries]) -> Dict[str, float]:
+        if series is None or series.count == 0:
+            return {"count": 0, "p50": math.nan, "p90": math.nan,
+                    "p99": math.nan, "mean": math.nan, "max": math.nan}
+        p50, p90, p99 = self._quantiles(series, (0.5, 0.9, 0.99))
+        return {"count": series.count, "p50": p50, "p90": p90, "p99": p99,
+                "mean": series.total / series.count, "max": series.max}
+
+    def quantile(self, q: float, *labelvalues: object) -> float:
+        """Estimated ``q``-quantile (0..1) of one series; ``nan`` when empty."""
         key = self._key(labelvalues)
         with self._lock:
             series = self._series.get(key)
             if series is None or series.count == 0:
                 return math.nan
-            buckets, count = list(series.buckets), series.count
-        rank = max(1, math.ceil(q * count))
-        cumulative = 0
-        for index, bucket_count in enumerate(buckets):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                return self.boundaries[min(index, len(self.boundaries) - 1)]
-        return self.boundaries[-1]
+            return self._quantiles(series, (q,))[0]
 
-    def merge_series(self, key: _LabelKey, buckets: Sequence[int],
-                     total: float, count: int) -> None:
+    def summary(self, *labelvalues: object) -> Dict[str, float]:
+        """``{count, p50, p90, p99, mean, max}`` of one series (``nan`` when empty).
+
+        ``count``, ``mean`` and ``max`` are exact; the percentiles are
+        estimates within one bucket (see :meth:`_quantiles`).
+        """
+        key = self._key(labelvalues)
+        with self._lock:
+            return self._summarize(self._series.get(key))
+
+    def summaries(self) -> Dict[_LabelKey, Dict[str, float]]:
+        """:meth:`summary` of every label set, keyed by label values."""
+        with self._lock:
+            return {key: self._summarize(s) for key, s in sorted(self._series.items())}
+
+    def total_summary(self) -> Dict[str, float]:
+        """:meth:`summary` of the bucket sum over every label set."""
+        with self._lock:
+            total = _HistogramSeries(len(self.boundaries) + 1)
+            for s in self._series.values():
+                total.add(s.buckets, s.total, s.count, s.min, s.max)
+            return self._summarize(total)
+
+    def merge_series(self, key: _LabelKey, buckets: Sequence[int], total: float,
+                     count: int, minimum: float, maximum: float) -> None:
         """Fold one external series (same boundaries) into this histogram."""
         if len(buckets) != len(self.boundaries) + 1:
             raise ValueError(
@@ -276,13 +360,10 @@ class Histogram(_Metric):
                 f"into {len(self.boundaries) + 1}"
             )
         with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.boundaries) + 1)
-            for index, bucket_count in enumerate(buckets):
-                series.buckets[index] += int(bucket_count)
-            series.total += float(total)
-            series.count += int(count)
+            self._series_for(key).add(
+                [int(c) for c in buckets], float(total), int(count),
+                float(minimum), float(maximum),
+            )
 
     def render(self) -> List[str]:
         collected = self.collect()
@@ -313,15 +394,9 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """A named collection of metrics with get-or-create accessors.
-
-    ``enabled`` gates *recording* on the process-global instance — the
-    registry object itself always works (adapters build throwaway
-    registries from stats snapshots regardless of the flag).
-    """
+    """A named collection of metrics with get-or-create accessors."""
 
     def __init__(self) -> None:
-        self.enabled = False
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
@@ -349,10 +424,17 @@ class MetricsRegistry:
         return self._get_or_create(Gauge, name, help, labelnames)  # type: ignore[return-value]
 
     def histogram(self, name: str, help: str = "", labelnames: Sequence[str] = (),
-                  boundaries: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
+                  boundaries: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
         return self._get_or_create(
             Histogram, name, help, labelnames, boundaries=boundaries
         )  # type: ignore[return-value]
+
+    def add(self, metric: _Metric) -> None:
+        """Register an existing metric object (its owner keeps recording into it)."""
+        with self._lock:
+            if metric.name in self._metrics:
+                raise ValueError(f"metric {metric.name!r} already registered")
+            self._metrics[metric.name] = metric
 
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:
@@ -389,7 +471,7 @@ class MetricsRegistry:
                 "help": metric.help,
                 "labels": list(metric.labelnames),
             }
-            if isinstance(metric, Histogram):
+            if isinstance(metric, Histogram) and metric.boundaries != LATENCY_BUCKETS:
                 entry["boundaries"] = list(metric.boundaries)
             entry["series"] = {
                 "\t".join(key): value for key, value in metric.collect().items()
@@ -409,7 +491,7 @@ class MetricsRegistry:
         Counters and histogram series **add**; gauges add too (the
         cluster reading of a gauge like queue depth is the sum over
         shards).  Histogram addition is exact: same boundaries, bucket
-        counts summed.
+        counts summed, min of the minima and max of the maxima.
         """
         for name, entry in payload.items():
             if not isinstance(entry, Mapping):
@@ -422,7 +504,7 @@ class MetricsRegistry:
                 continue
             if kind == "histogram":
                 boundaries = tuple(
-                    float(b) for b in entry.get("boundaries", DEFAULT_LATENCY_BUCKETS)
+                    float(b) for b in entry.get("boundaries", LATENCY_BUCKETS)
                 )
                 metric = self.histogram(name, help_text, labelnames, boundaries)
                 for packed, data in series.items():
@@ -430,10 +512,9 @@ class MetricsRegistry:
                         continue
                     key = tuple(str(packed).split("\t")) if labelnames else ()
                     metric.merge_series(
-                        key,
-                        [int(c) for c in data.get("buckets", [])],
-                        float(data.get("sum", 0.0)),
-                        int(data.get("count", 0)),
+                        key, data.get("buckets", []), data.get("sum", 0.0),
+                        data.get("count", 0), data.get("min", math.inf),
+                        data.get("max", -math.inf),
                     )
             elif kind == "gauge":
                 metric = self.gauge(name, help_text, labelnames)
@@ -445,46 +526,3 @@ class MetricsRegistry:
                 for packed, value in series.items():
                     key = tuple(str(packed).split("\t")) if labelnames else ()
                     metric.inc(float(value), *key)
-
-
-#: The process-wide live registry serving code records into (off by default).
-REGISTRY = MetricsRegistry()
-
-#: Live request-latency histograms recorded by the service hot path when
-#: :data:`REGISTRY` is enabled.  Families are the solver registry entry
-#: names; phases mirror the ``phases`` stats breakdown.
-REQUEST_LATENCY = REGISTRY.histogram(
-    "repro_request_latency_seconds",
-    "End-to-end request latency by solver family",
-    ("family",),
-)
-PHASE_LATENCY = REGISTRY.histogram(
-    "repro_phase_latency_seconds",
-    "Unique-job phase latency (queue_wait / exec) by solver family",
-    ("phase", "family"),
-)
-
-
-def enable_metrics() -> None:
-    """Turn live metric recording on process-wide."""
-    REGISTRY.enabled = True
-
-
-def disable_metrics() -> None:
-    REGISTRY.enabled = False
-
-
-def metrics_enabled() -> bool:
-    return REGISTRY.enabled
-
-
-def merge_registry_dicts(payloads: Iterable[Mapping[str, object]]) -> MetricsRegistry:
-    """One registry holding the exact sum of several ``to_dict`` payloads."""
-    merged = MetricsRegistry()
-    for payload in payloads:
-        merged.merge(payload)
-    return merged
-
-
-__all__.append("merge_registry_dicts")
-__all__.extend(["REQUEST_LATENCY", "PHASE_LATENCY"])

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
+from repro.qos.fairshare import POLICY_NAMES
+from repro.qos.tenants import load_tenants
 from repro.solvers.cache import CacheLike
 
 __all__ = ["ServiceConfig", "BACKPRESSURE_POLICIES"]
@@ -48,7 +50,8 @@ class ServiceConfig:
         Derive per-family timeout defaults from *observed* latency tails:
         once a solver family has ``auto_timeout_min_samples`` recorded
         requests, requests of that family default to
-        ``auto_timeout_multiplier x family p99``, clamped into
+        ``auto_timeout_multiplier x family p99`` (the since-start p99 of
+        the family's request-latency histogram), clamped into
         ``[auto_timeout_floor, auto_timeout_ceiling]``.  A pathological
         request (a spec that suddenly blows up on one instance) is then
         bounded by the family's own history instead of hanging a worker,
@@ -82,10 +85,6 @@ class ServiceConfig:
         Optional multiprocessing start method for the worker pool
         (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
         platform default.
-    latency_window:
-        Number of most-recent request latencies kept for the percentile
-        snapshot in :meth:`SolverService.stats` (also the window of each
-        per-solver-family latency breakdown).
     max_sessions:
         Bound on concurrently open streaming sessions
         (:mod:`repro.service.sessions`); opening one more raises
@@ -111,19 +110,10 @@ class ServiceConfig:
         Dequeue policy arbitrating admission slots between backlogged
         tenants: ``"wfq"`` (weighted-fair, the default) or ``"fifo"``
         (weight-blind baseline).
-    latency_families_max:
-        Bound on distinct solver families tracked by the latency
-        breakdowns (least-recently-recorded eviction beyond it) — family
-        names are client-influenced via runtime-registered solvers, so
-        the breakdown must not be a memory leak.
     trace:
         Enable span recording (:mod:`repro.obs.trace`) in this process
         when the service starts.  Off by default; with it off the wire
         format and hot-path cost are identical to an obs-less build.
-    metrics:
-        Enable live metric recording (:mod:`repro.obs.metrics`) — the
-        mergeable per-family latency histograms behind the ``metrics``
-        op and the Prometheus scrape endpoint.  Off by default.
     slow_request_threshold:
         Seconds above which a completed request emits one structured
         ``slow_request`` log line (with its trace id when traced);
@@ -143,16 +133,13 @@ class ServiceConfig:
     cache: CacheLike = None
     coalesce: bool = True
     start_method: Optional[str] = None
-    latency_window: int = 2048
     max_sessions: int = 64
     max_session_tasks: int = 1_000_000
     session_ttl: Optional[float] = 300.0
     tenants: object = None
     default_tenant: Optional[str] = None
     qos_policy: str = "wfq"
-    latency_families_max: int = 64
     trace: bool = False
-    metrics: bool = False
     slow_request_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -169,8 +156,6 @@ class ServiceConfig:
             raise ValueError(
                 f"default_timeout must be > 0 or None, got {self.default_timeout}"
             )
-        if self.latency_window < 1:
-            raise ValueError(f"latency_window must be >= 1, got {self.latency_window}")
         if self.auto_timeout_multiplier <= 0:
             raise ValueError(
                 f"auto_timeout_multiplier must be > 0, got {self.auto_timeout_multiplier}"
@@ -189,10 +174,6 @@ class ServiceConfig:
         if self.auto_timeout_min_samples < 1:
             raise ValueError(
                 f"auto_timeout_min_samples must be >= 1, got {self.auto_timeout_min_samples}"
-            )
-        if self.latency_families_max < 1:
-            raise ValueError(
-                f"latency_families_max must be >= 1, got {self.latency_families_max}"
             )
         if self.slow_request_threshold is not None and self.slow_request_threshold <= 0:
             raise ValueError(
@@ -221,11 +202,7 @@ class ServiceConfig:
         object.__setattr__(self, "spec_timeouts", timeouts)
         # Normalize the tenants source (path / mapping / registry) into a
         # validated registry once, at construction — bad tenants files fail
-        # here, not mid-serving.  Imported lazily: repro.qos depends on
-        # repro.service.stats, and eager imports would tangle module load.
-        from repro.qos.fairshare import POLICY_NAMES
-        from repro.qos.tenants import load_tenants
-
+        # here, not mid-serving.
         if self.qos_policy not in POLICY_NAMES:
             raise ValueError(
                 f"qos_policy must be one of {POLICY_NAMES}, got {self.qos_policy!r}"

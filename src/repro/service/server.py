@@ -106,17 +106,13 @@ def _submit_tasks(request: Dict[str, object]) -> list:
 
 
 def _metrics_response(
-    request: Dict[str, object],
-    stats_payload: Dict[str, object],
-    router_counters: Optional[Dict[str, object]] = None,
-    extra_registries: Optional[list] = None,
+    request: Dict[str, object], stats_payload: Dict[str, object]
 ) -> Dict[str, object]:
     """Build the ``metrics`` op response (shared by service and router).
 
-    The registry is assembled fresh per request: snapshot-mirrored
-    counters/gauges, the live histograms, the profiler ledger, plus any
-    ``extra_registries`` dict payloads (the router passes its shards'
-    ``metrics`` dicts here — the exact histogram merge).
+    The registry is assembled fresh per request from one ``stats``
+    payload — its counters, gauges and ``histograms`` (for a router, the
+    exact merge over its shards) — plus this process's profiler ledger.
     """
     from repro.obs.adapters import build_metrics_registry
     from repro.obs.httpd import CONTENT_TYPE
@@ -124,10 +120,7 @@ def _metrics_response(
     fmt = request.get("format", "text")
     if fmt not in ("text", "dict"):
         raise ProtocolError(f"'format' must be 'text' or 'dict', got {fmt!r}")
-    registry = build_metrics_registry(stats_payload, router_counters)
-    for payload in extra_registries or ():
-        if isinstance(payload, dict):
-            registry.merge(payload)
+    registry = build_metrics_registry(stats_payload)
     request_id = request.get("id")
     if fmt == "dict":
         return {"id": request_id, "ok": True,
@@ -292,7 +285,7 @@ async def handle_request(
                 response["window_error"] = window_error
             return response
         if op == "stats":
-            # Idle windows report nan percentiles; the wire carries null
+            # An idle service reports nan percentiles; the wire carries null
             # (with or without orjson) instead of the NaN literal.
             return {"id": request_id, "ok": True,
                     "stats": sanitize_non_finite(service.stats().to_dict())}

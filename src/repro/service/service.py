@@ -59,13 +59,13 @@ from typing import Dict, Optional, Set, Union
 from repro.core.instance import DAGInstance, Instance, InstancePayload
 from repro.core.task import Task
 from repro.obs.logging import log_event
-from repro.obs.metrics import PHASE_LATENCY, REGISTRY, REQUEST_LATENCY, enable_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RECORDER, enable_tracing, new_span_id, parse_wire_trace
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import QosError, TenantConfig
 from repro.service.config import ServiceConfig
 from repro.service.sessions import Session, SessionManager
-from repro.service.stats import FamilyLatency, LatencyWindow, ServiceStats, merge_latency
+from repro.service.stats import PHASE_HISTOGRAM, REQUEST_HISTOGRAM, ServiceStats, latency_fields
 from repro.solvers.api import PreparedSolve, prepare, solve
 from repro.solvers.batch import shippable_custom_entries
 from repro.solvers.cache import cache_key, resolve_cache
@@ -180,19 +180,14 @@ class SolverService:
         self._inflight: Dict[str, _Job] = {}
         self._tasks: Set["asyncio.Task"] = set()
         self._qos: Optional[AdmissionController] = None
-        self._latency = LatencyWindow(config.latency_window)
-        self._family_latency = FamilyLatency(
-            config.latency_window, config.latency_families_max
-        )
-        # Phase breakdown of unique jobs: time queued for a worker slot vs
-        # time executing in the pool (end-to-end latency alone cannot show
-        # whether a slow family is compute-bound or queue-bound).
-        self._phase_queue_wait = FamilyLatency(
-            config.latency_window, config.latency_families_max
-        )
-        self._phase_exec = FamilyLatency(
-            config.latency_window, config.latency_families_max
-        )
+        # The one latency store: every ``stats()`` percentile is rendered
+        # from these histograms.  The phase histogram splits unique jobs
+        # into time queued for a worker slot vs time executing in the pool
+        # (end-to-end latency alone cannot show whether a slow family is
+        # compute-bound or queue-bound).
+        self._registry = MetricsRegistry()
+        self._request_latency = self._registry.histogram(*REQUEST_HISTOGRAM)
+        self._phase_latency = self._registry.histogram(*PHASE_HISTOGRAM)
         self._sessions = SessionManager(
             max_sessions=config.max_sessions,
             max_session_tasks=config.max_session_tasks,
@@ -233,15 +228,13 @@ class SolverService:
                 self.config.tenants,
                 capacity=self.config.max_pending,
                 policy=self.config.qos_policy,
-                window=self.config.latency_window,
             )
-        # Observability is process-global and opt-in: flip the recorders on
-        # only when this service asked for them (never off — another
-        # service or the CLI may have enabled them first).
+            self._registry.add(self._qos.queue_wait)
+        # Tracing is process-global and opt-in: flip the recorder on only
+        # when this service asked for it (never off — another service or
+        # the CLI may have enabled it first).
         if self.config.trace:
             enable_tracing()
-        if self.config.metrics:
-            enable_metrics()
         self._started = True
         return self
 
@@ -526,12 +519,9 @@ class SolverService:
     def _record_latency(
         self, family: str, started: float, tctx: Optional[tuple] = None
     ) -> None:
-        """Record one successful request latency globally and per family."""
+        """Record one successful request latency in its family's series."""
         elapsed = time.perf_counter() - started
-        self._latency.record(elapsed)
-        self._family_latency.record(family, elapsed)
-        if REGISTRY.enabled:
-            REQUEST_LATENCY.observe(elapsed, family)
+        self._request_latency.observe(elapsed, family)
         threshold = self.config.slow_request_threshold
         if threshold is not None and elapsed >= threshold:
             log_event(
@@ -541,11 +531,9 @@ class SolverService:
             )
 
     def _record_exec(self, job: _Job, family: str, exec_at: float) -> None:
-        """Record one pool execution: phase percentile + tenant usage."""
+        """Record one pool execution: phase latency + tenant usage."""
         elapsed = time.perf_counter() - exec_at
-        self._phase_exec.record(family, elapsed)
-        if REGISTRY.enabled:
-            PHASE_LATENCY.observe(elapsed, "exec", family)
+        self._phase_latency.observe(elapsed, "exec", family)
         if job.trace is not None:
             RECORDER.record(
                 "kernel", "service", job.trace[0], new_span_id(), job.trace[1],
@@ -615,9 +603,7 @@ class SolverService:
         self._queued -= 1
         self._running += 1
         waited_s = time.perf_counter() - queued_at
-        self._phase_queue_wait.record(prepared.entry.name, waited_s)
-        if REGISTRY.enabled:
-            PHASE_LATENCY.observe(waited_s, "queue_wait", prepared.entry.name)
+        self._phase_latency.observe(waited_s, "queue_wait", prepared.entry.name)
         if job.trace is not None:
             RECORDER.record(
                 "queue_wait", "service", job.trace[0], new_span_id(),
@@ -805,15 +791,16 @@ class SolverService:
         """Timeout derived from the family's observed p99 tail (or ``None``).
 
         ``multiplier x p99`` clamped into ``[floor, ceiling]`` — see the
-        ``auto_timeout_*`` fields of :class:`ServiceConfig`.  Requires
-        ``auto_timeout_min_samples`` recorded requests so one early
-        outlier cannot poison the derived bound.
+        ``auto_timeout_*`` fields of :class:`ServiceConfig`.  The p99 is
+        the family's since-start estimate from its request histogram.
+        Requires ``auto_timeout_min_samples`` recorded requests so one
+        early outlier cannot poison the derived bound.
         """
         config = self.config
-        count, p99 = self._family_latency.tail(solver_name, 99.0)
-        if count < config.auto_timeout_min_samples or not (p99 == p99):  # nan check
+        tail = self._request_latency.summary(solver_name)
+        if tail["count"] < config.auto_timeout_min_samples:
             return None
-        derived = config.auto_timeout_multiplier * p99
+        derived = config.auto_timeout_multiplier * tail["p99"]
         derived = max(derived, config.auto_timeout_floor)
         if config.auto_timeout_ceiling is not None:
             derived = min(derived, config.auto_timeout_ceiling)
@@ -835,20 +822,15 @@ class SolverService:
 
     def stats(self) -> ServiceStats:
         """An immutable snapshot of counters, gauges, and latency percentiles."""
-        gauges = {
-            "queue_depth": self._queued,
-            "in_flight": self._running,
-            "pending": self._pending,
-        }
-        return merge_latency(
-            {**self._counters, **gauges, **self._sessions.stats()},
-            self._latency.snapshot(),
-            families=self._family_latency.snapshot(),
-            phases={
-                "queue_wait": self._phase_queue_wait.snapshot(),
-                "exec": self._phase_exec.snapshot(),
-            },
-            tenants=self._qos.snapshot() if self._qos is not None else None,
+        return ServiceStats(
+            **self._counters,
+            queue_depth=self._queued,
+            in_flight=self._running,
+            pending=self._pending,
+            **self._sessions.stats(),
+            **latency_fields(self._registry),  # type: ignore[arg-type]
+            tenants=self._qos.snapshot() if self._qos is not None else {},
+            histograms=self._registry.to_dict(),
         )
 
     @property

@@ -7,17 +7,20 @@ Covers the `repro.obs` subsystem end to end:
   under ONE trace id through a real 2-shard inproc cluster);
 * unified metrics — typed primitives, the *exact* fixed-boundary
   histogram merge (property-tested against the histogram of the
-  concatenated samples), the structured wire form, the stats-snapshot
-  adapters, Prometheus text exposition (scrape-parsed), and the
-  `metrics` wire op / HTTP scrape endpoint;
+  concatenated samples), the histogram summaries every `stats`
+  percentile is rendered from (property-tested against nearest-rank
+  percentiles of the raw samples), the structured wire form, the
+  stats-snapshot adapters, Prometheus text exposition (scrape-parsed),
+  and the `metrics` wire op / HTTP scrape endpoint, which must agree
+  with `stats` on a cluster;
 * profiling — `ProfileScope` phase accounting through the solver
   facade, zero-cost when disabled;
 * structured logs — gating, `_force`, the slow-request log, and the
   autoscale decision event;
 * the protocol-boundary NaN sanitisation (idle stats round-trip as
   `null` on every registered framing);
-* the `FamilyLatency` family cap (client-controlled names cannot grow
-  memory without bound);
+* the histogram label-set cap (client-controlled family names cannot
+  grow memory without bound);
 * the `repro stats` / `repro top` / `repro trace dump` CLI clients.
 """
 
@@ -27,6 +30,7 @@ import asyncio
 import json
 import math
 import re
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -45,12 +49,12 @@ from repro.obs.adapters import (
 from repro.obs.httpd import CONTENT_TYPE, start_metrics_server
 from repro.obs.logging import LOG, CapturedEvents, log_event, set_log_sink
 from repro.obs.metrics import (
+    LATENCY_BUCKETS,
+    MAX_LABEL_SETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    disable_metrics,
-    merge_registry_dicts,
 )
 from repro.obs.profile import (
     PROFILER,
@@ -78,7 +82,7 @@ from repro.service.protocol import (
 )
 from repro.service.server import serve_tcp
 from repro.service.service import SolverService
-from repro.service.stats import FamilyLatency
+from repro.service.stats import REQUEST_HISTOGRAM
 
 pytestmark = pytest.mark.obs
 
@@ -94,16 +98,9 @@ def inst():
 
 @pytest.fixture(autouse=True)
 def _reset_obs_state():
-    """Every test leaves the process-global observability state off/empty.
-
-    The global REGISTRY is deliberately *not* cleared: its histogram
-    objects (REQUEST_LATENCY / PHASE_LATENCY) are module-level singletons
-    the serving code holds references to — tests assert on deltas or use
-    private registries instead.
-    """
+    """Every test leaves the process-global observability state off/empty."""
     yield
     disable_tracing(clear=True)
-    disable_metrics()
     disable_profiling(reset=True)
     LOG.enabled = False
     set_log_sink(None)
@@ -224,9 +221,38 @@ class TestMetricPrimitives:
         assert data["count"] == 5
         assert data["buckets"] == [1, 2, 1, 1]  # last = +Inf overflow
         assert h.quantile(0.5) == 0.1
-        # +Inf hits report the largest finite boundary.
-        assert h.quantile(1.0) == 1.0
+        # The overflow bucket interpolates up to the exact max.
+        assert h.quantile(1.0) == 5.0
         assert math.isnan(Histogram("empty", boundaries=(1.0,)).quantile(0.5))
+
+    def test_quantile_interpolates_inside_its_bucket(self):
+        h = Histogram("lat", boundaries=(1.0, 2.0))
+        for v in (1.25, 1.5, 1.75, 2.0):
+            h.observe(v)
+        # Rank 2 of 4 in the bucket (1, 2], whose edges clamp to [1.25, 2.0].
+        assert h.quantile(0.5) == pytest.approx(1.625)
+        assert h.summary()["p99"] == 2.0
+
+    def test_histogram_concurrent_observes_lose_nothing(self):
+        h = Histogram("lat", labelnames=("f",))
+        threads, per_thread = 4, 5000
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(
+                target=lambda i=i: [h.observe(0.001 * (i + 1), f"f{i % 2}")
+                                    for _ in range(per_thread)])
+                for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(previous)
+        series = h.collect()
+        assert sum(data["count"] for data in series.values()) == threads * per_thread
+        assert all(sum(data["buckets"]) == data["count"] for data in series.values())
 
     def test_histogram_rejects_bad_boundaries(self):
         for bad in ((), (1.0, 1.0), (2.0, 1.0), (1.0, math.inf)):
@@ -250,8 +276,7 @@ class TestMetricPrimitives:
 
 
 # --------------------------------------------------------------------------- #
-# the exact histogram merge (the property the count-weighted percentile
-# merge in repro.cluster.stats could never make)
+# the exact histogram merge: merged shards == histogram of all samples
 # --------------------------------------------------------------------------- #
 _BOUNDS = (0.001, 0.01, 0.1, 1.0)
 
@@ -275,7 +300,7 @@ class TestHistogramMergeProperty:
     )
     def test_merge_equals_concatenation(self, shards):
         """Per-shard histograms merged == histogram of all samples."""
-        merged = merge_registry_dicts(
+        merged = _merged(
             [{"lat": _registry_entry(_hist_of(chunk))} for chunk in shards]
         )
         combined = _hist_of([v for chunk in shards for v in chunk])
@@ -294,13 +319,99 @@ class TestHistogramMergeProperty:
     def test_merge_series_rejects_mismatched_buckets(self):
         h = Histogram("lat", boundaries=_BOUNDS)
         with pytest.raises(ValueError):
-            h.merge_series((), [1, 2], 0.1, 3)
+            h.merge_series((), [1, 2], 0.1, 3, 0.01, 0.05)
+
+
+def _merged(payloads):
+    registry = MetricsRegistry()
+    for payload in payloads:
+        registry.merge(payload)
+    return registry
 
 
 def _registry_entry(histogram):
     reg = MetricsRegistry()
     reg._metrics[histogram.name] = histogram  # private: pack one metric
     return reg.to_dict()[histogram.name]
+
+
+# --------------------------------------------------------------------------- #
+# the summaries every `stats` percentile is rendered from
+# --------------------------------------------------------------------------- #
+_STEP = 2 ** 0.25   # neighbouring LATENCY_BUCKETS boundaries differ by this
+
+
+def _nearest_rank(samples, q):
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
+def _latency_hist(samples):
+    h = Histogram("lat", labelnames=("f",))
+    for v in samples:
+        h.observe(v, "x")
+    return h
+
+
+def _floats(low, high):
+    return st.floats(min_value=low, max_value=high,
+                     allow_nan=False, allow_infinity=False)
+
+
+_SAMPLE = st.one_of(_floats(1e-12, 1e-6),     # below the first boundary
+                    _floats(1e-6, 1024.0),    # the bucketed range
+                    _floats(1024.0, 1e6))     # above the last boundary
+_SAMPLES = st.one_of(
+    st.lists(_SAMPLE, min_size=1, max_size=60),
+    st.tuples(_SAMPLE, st.integers(1, 40)).map(lambda pair: [pair[0]] * pair[1]),
+)
+
+
+def _exposition(h):
+    """Rendered exposition lines, with the float ``_sum`` split out."""
+    lines = h.render()
+    sums = [float(line.rsplit(" ", 1)[1]) for line in lines if "_sum" in line]
+    return [line for line in lines if "_sum" not in line], sums
+
+
+class TestHistogramSummaryProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_SAMPLES)
+    def test_summary_against_raw_samples(self, samples):
+        snap = _latency_hist(samples).summary("x")
+        assert snap["count"] == len(samples)
+        assert snap["max"] == max(samples)
+        assert snap["mean"] == sum(samples) / len(samples)
+        assert snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]
+        first, last = LATENCY_BUCKETS[0], LATENCY_BUCKETS[-1]
+        for key, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            want, got = _nearest_rank(samples, q), snap[key]
+            if first < want <= last:
+                # Within one bucket of the nearest-rank percentile.
+                assert want / _STEP * (1 - 1e-12) <= got <= want * _STEP * (1 + 1e-12)
+            elif want <= first:
+                # The underflow bucket knows only [min, first boundary].
+                assert min(samples) <= got <= first
+            else:
+                # The overflow bucket knows only [last boundary, max].
+                assert last <= got <= max(samples)
+        if len(set(samples)) == 1:  # one repeated value is reported exactly
+            assert snap["p50"] == snap["p90"] == snap["p99"] == samples[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SAMPLES, _SAMPLES)
+    def test_merge_renders_like_concatenation(self, a, b):
+        merged = _merged([{"lat": _registry_entry(_latency_hist(a))},
+                          {"lat": _registry_entry(_latency_hist(b))}]).get("lat")
+        combined = _latency_hist(a + b)
+        got, want = merged.summary("x"), combined.summary("x")
+        # Float addition is not associative: only the sum may differ, by rounding.
+        assert got.pop("mean") == pytest.approx(want.pop("mean"), rel=1e-12)
+        assert got == want
+        (got_lines, got_sums), (want_lines, want_sums) = (
+            _exposition(merged), _exposition(combined))
+        assert got_lines == want_lines
+        assert got_sums == pytest.approx(want_sums, rel=1e-12)
 
 
 # --------------------------------------------------------------------------- #
@@ -323,7 +434,7 @@ class TestRegistryWireForm:
 
     def test_merge_sums(self):
         a, b = self._populated(), self._populated()
-        merged = merge_registry_dicts([a.to_dict(), b.to_dict()])
+        merged = _merged([a.to_dict(), b.to_dict()])
         assert merged.get("c_total").value("a") == 6
         assert merged.get("g").value() == 14  # gauges sum across shards
         assert merged.get("h").collect()[()]["count"] == 2
@@ -334,10 +445,13 @@ class TestRegistryWireForm:
 # --------------------------------------------------------------------------- #
 class TestAdapters:
     def test_flat_service_shape(self):
+        latency = MetricsRegistry()
+        latency.histogram(*REQUEST_HISTOGRAM).observe(0.01, "lpt")
         payload = {
             "submitted": 10, "completed": 8, "queue_depth": 2,
-            "latency_count": 8,
-            "families": {"lpt": {"count": 8, "p50": 0.01, "p99": float("nan")}},
+            "latency_count": 1,
+            "families": {"lpt": {"count": 1, "p50": 0.01, "p99": 0.01}},
+            "histograms": latency.to_dict(),
             "tenants": {"acme": tenant_snapshot(
                 TenantConfig("acme", weight=2.0),
                 counters={"submitted": 7, "admitted": 5, "rejected": 2},
@@ -348,9 +462,10 @@ class TestAdapters:
         reg = registry_from_service_stats(payload)
         assert reg.get("repro_submitted_total").value() == 10
         assert reg.get("repro_queue_depth").value() == 2
-        assert reg.get("repro_family_latency_seconds").value("lpt", "p50") == 0.01
-        # NaN percentiles are skipped, not exported as NaN samples.
-        assert ("lpt", "p99") not in reg.get("repro_family_latency_seconds").collect()
+        # Latency is exported as the shipped histograms, not as mirrored
+        # percentile gauges.
+        assert reg.get("repro_request_latency_seconds").summary("lpt")["max"] == 0.01
+        assert reg.get("repro_family_latency_seconds") is None
         assert reg.get("repro_tenant_admitted_total").value("acme") == 5
         assert reg.get("repro_tenant_rejected_total").value("acme") == 2
         assert reg.get("repro_tenant_in_flight").value("acme") == 1
@@ -420,35 +535,50 @@ class TestNonFiniteSanitisation:
 
 
 # --------------------------------------------------------------------------- #
-# FamilyLatency cap (satellite: client-controlled family names)
+# the histogram label-set cap bounds per-family latency memory
+# (client-controlled family names)
 # --------------------------------------------------------------------------- #
 class TestFamilyLatencyCap:
     def test_eviction_is_least_recently_recorded(self):
-        fam = FamilyLatency(window=8, max_families=3)
-        for name in ("a", "b", "c"):
-            fam.record(name, 0.1)
-        fam.record("a", 0.2)   # refresh a → b is now oldest
-        fam.record("d", 0.3)   # evicts b
-        snap = fam.snapshot()
-        assert sorted(snap) == ["a", "c", "d"]
-        assert fam.evicted == 1
-        assert snap["a"]["count"] == 2  # refreshed family kept its window
+        h = Histogram("lat", labelnames=("family",))
+        for i in range(MAX_LABEL_SETS):
+            h.observe(0.1, f"f{i}")
+        h.observe(0.2, "f0")    # refresh f0 → f1 is now oldest
+        h.observe(0.3, "new")   # evicts f1
+        kept = {family for (family,) in h.collect()}
+        assert len(kept) == MAX_LABEL_SETS
+        assert "f1" not in kept and {"f0", "new"} <= kept
+        assert h.evicted == 1
+        assert h.summary("f0")["count"] == 2  # refreshed family kept its series
 
     def test_cap_bounds_memory_under_churn(self):
-        fam = FamilyLatency(window=4, max_families=5)
+        h = Histogram("lat", labelnames=("family",))
         for i in range(100):
-            fam.record(f"family-{i}", 0.01)
-        assert len(fam.snapshot()) == 5
-        assert fam.evicted == 95
+            h.observe(0.01, f"family-{i}")
+        assert MAX_LABEL_SETS == 64
+        assert len(h.collect()) == 64
+        assert h.evicted == 36
+        # A merge brings new label sets under the same bound.
+        other = Histogram("lat", labelnames=("family",))
+        for i in range(100, 200):
+            other.observe(0.01, f"family-{i}")
+        merged = _merged([{"lat": _registry_entry(h)},
+                          {"lat": _registry_entry(other)}]).get("lat")
+        assert len(merged.collect()) == 64
+        assert {family for (family,) in merged.collect()} == {
+            f"family-{i}" for i in range(136, 200)}
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FamilyLatency(max_families=0)
+    def test_service_family_breakdown_is_bounded(self, inst):
+        async def scenario():
+            async with SolverService(workers=1) as svc:
+                await svc.solve(inst, "lpt")
+                for i in range(100):
+                    svc._request_latency.observe(0.01, f"custom-{i}")
+                return svc.stats()
 
-    def test_service_config_threads_the_cap(self):
-        assert ServiceConfig(latency_families_max=7).latency_families_max == 7
-        with pytest.raises(ValueError):
-            ServiceConfig(latency_families_max=0)
+        stats = run(scenario())
+        assert len(stats.families) == 64
+        assert "lpt" not in stats.families  # least recently observed
 
 
 # --------------------------------------------------------------------------- #
@@ -589,8 +719,9 @@ class TestExposition:
         assert "repro_h_seconds_count 2" in text
 
     def test_build_metrics_registry_combines_sources(self):
-        payload = {"submitted": 2, "families": {}}
-        reg = build_metrics_registry(payload, {"routed": 2})
+        payload = {"cluster": True, "totals": {"submitted": 2},
+                   "router": {"routed": 2}, "families": {}}
+        reg = build_metrics_registry(payload)
         text = reg.render()
         assert_valid_exposition(text)
         assert "repro_submitted_total 2" in text
@@ -657,7 +788,7 @@ class TestMetricsHttpd:
 class TestServiceObservabilityOps:
     def test_traced_solve_metrics_and_trace_dump(self, inst):
         async def scenario():
-            config = ServiceConfig(workers=1, trace=True, metrics=True)
+            config = ServiceConfig(workers=1, trace=True)
             async with SolverService(config) as svc:
                 shutdown = asyncio.Event()
                 server = await serve_tcp(svc, "127.0.0.1", 0, shutdown)
@@ -771,6 +902,83 @@ class TestClusterTracePropagation:
                 return len(RECORDER)
 
         assert run(scenario()) == 0
+
+
+# --------------------------------------------------------------------------- #
+# the cluster `metrics` op agrees with cluster `stats`
+# --------------------------------------------------------------------------- #
+@pytest.mark.cluster
+class TestClusterMetricsAgreeWithStats:
+    SOLVES = 10
+
+    def test_inproc_metrics_match_stats(self):
+        from repro.cluster.config import ClusterConfig
+        from repro.cluster.router import ClusterRouter
+
+        async def scenario():
+            config = ClusterConfig(shards=2, backend="inproc", workers=1, cache=False)
+            async with ClusterRouter(config) as router:
+                for i in range(self.SOLVES):
+                    inst = Instance.from_lists(p=[4, 3, 2, 2, 1 + i],
+                                               s=[1, 5, 2, 4, 3], m=2)
+                    spec = ("lpt", "sbo(delta=1.0)")[i % 2]
+                    response = await router.handle(solve_request(inst, spec))
+                    assert response["ok"], response
+                stats = (await router.stats()).to_dict()
+                metrics = await router.handle(
+                    {"op": "metrics", "id": 1, "format": "dict"})
+            return stats, metrics
+
+        stats, metrics = run(scenario())
+        assert metrics["ok"], metrics
+        exposed, totals = metrics["metrics"], stats["totals"]
+        assert totals["submitted"] == self.SOLVES
+        compared = set()
+        for name, entry in exposed.items():
+            if entry["labels"] or entry["kind"] not in ("counter", "gauge"):
+                continue
+            key = name[len("repro_"):]
+            if entry["kind"] == "counter":
+                key = key[:-len("_total")]
+            if key in totals:
+                (value,) = entry["series"].values()
+                assert value == totals[key], name
+                compared.add(key)
+        assert {"submitted", "completed", "lost", "queue_depth", "pending"} <= compared
+        # Each family's histogram holds exactly the samples `stats` reports...
+        series = exposed["repro_request_latency_seconds"]["series"]
+        assert set(series) == set(stats["families"]) == {"lpt", "sbo"}
+        for family, snap in stats["families"].items():
+            assert series[family]["count"] == snap["count"]
+        # ...and no exposed latency value exceeds that family's max.
+        for name, entry in exposed.items():
+            if "latency" not in name or "family" not in entry["labels"]:
+                continue
+            column = entry["labels"].index("family")
+            for packed, value in entry["series"].items():
+                family_max = stats["families"][packed.split("\t")[column]]["max"]
+                values = ([value["max"], value["sum"] / value["count"]]
+                          if isinstance(value, dict) else [value])
+                assert all(v <= family_max for v in values), (name, packed)
+
+    def test_process_shard_latency_reaches_metrics(self, inst):
+        from repro.cluster.config import ClusterConfig
+        from repro.cluster.router import ClusterRouter
+
+        async def scenario():
+            config = ClusterConfig(shards=1, backend="process", workers=1, cache=False)
+            async with ClusterRouter(config) as router:
+                response = await router.handle(solve_request(inst, "lpt"))
+                assert response["ok"], response
+                return await router.handle({"op": "metrics", "id": 1})
+
+        response = run(scenario())
+        assert response["ok"], response
+        assert_valid_exposition(response["text"])
+        counts = re.findall(
+            r'^repro_request_latency_seconds_count\{family="lpt"\} (\d+)$',
+            response["text"], flags=re.MULTILINE)
+        assert counts and int(counts[0]) > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.instance import DAGInstance, Instance
+from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     ServiceClosedError,
     ServiceConfig,
@@ -46,7 +47,7 @@ from repro.service.protocol import (
     solve_request,
 )
 from repro.service.server import serve_tcp
-from repro.service.stats import LatencyWindow
+from repro.service.stats import REQUEST_HISTOGRAM, latency_fields
 from repro.solvers import LRUCache, SpecError, solve
 from repro.solvers.registry import SolverCapabilityError
 
@@ -102,7 +103,7 @@ class TestServiceConfig:
         {"backpressure": "drop"},
         {"default_timeout": 0.0},
         {"default_timeout": -1.0},
-        {"latency_window": 0},
+        {"max_sessions": 0},
         {"spec_timeouts": {"sbo": -2.0}},
     ])
     def test_invalid_values_rejected(self, overrides):
@@ -648,27 +649,26 @@ class TestCancellation:
 # --------------------------------------------------------------------------- #
 class TestStats:
     def test_latency_window_percentiles(self):
-        window = LatencyWindow(window=100)
+        """Stats percentiles render from the request histogram (one bucket)."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram(*REQUEST_HISTOGRAM)
         for ms in range(1, 101):  # 1..100 ms
-            window.record(ms / 1000.0)
-        assert window.percentile(50) == pytest.approx(0.050)
-        assert window.percentile(99) == pytest.approx(0.099)
-        snap = window.snapshot()
+            histogram.observe(ms / 1000.0, "lpt")
+        snap = latency_fields(registry)["families"]["lpt"]
+        step = 2 ** 0.25  # one bucket
+        assert 0.050 / step <= snap["p50"] <= 0.050 * step
+        assert 0.099 / step <= snap["p99"] <= 0.099 * step
         assert snap["count"] == 100
         assert snap["max"] == pytest.approx(0.100)
+        assert snap["mean"] == pytest.approx(0.0505)
         assert snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]
 
     def test_latency_window_empty(self):
-        window = LatencyWindow()
-        assert math.isnan(window.percentile(50))
-        assert window.snapshot()["count"] == 0
-
-    def test_latency_window_slides(self):
-        window = LatencyWindow(window=4)
-        for value in (1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0):
-            window.record(value)
-        assert window.percentile(50) == 5.0  # old values fell out
-        assert window.count == 8
+        fields = latency_fields(MetricsRegistry())
+        assert math.isnan(fields["latency_p50"])
+        assert fields["latency_count"] == 0
+        assert fields["families"] == {}
+        assert fields["phases"] == {"queue_wait": {}, "exec": {}}
 
     def test_stats_snapshot_serializes(self, inst):
         async def scenario():
@@ -975,18 +975,18 @@ class TestAutoTimeouts:
             async with SolverService(self._config()) as svc:
                 # Below min_samples: no derived timeout.
                 for _ in range(4):
-                    svc._family_latency.record("sbo", 0.01)
+                    svc._request_latency.observe(0.01, "sbo")
                 assert svc._effective_timeout(_UNSET, "sbo") is None
                 # Enough history: multiplier x p99 clamped by the floor.
-                svc._family_latency.record("sbo", 0.01)
+                svc._request_latency.observe(0.01, "sbo")
                 assert svc._effective_timeout(_UNSET, "sbo") == 0.5
                 # A slow family derives multiplier x p99 directly.
                 for _ in range(5):
-                    svc._family_latency.record("pareto_approx", 2.0)
+                    svc._request_latency.observe(2.0, "pareto_approx")
                 assert svc._effective_timeout(_UNSET, "pareto_approx") == 20.0
                 # A pathologically slow family hits the ceiling.
                 for _ in range(5):
-                    svc._family_latency.record("exact", 1000.0)
+                    svc._request_latency.observe(1000.0, "exact")
                 assert svc._effective_timeout(_UNSET, "exact") == 60.0
                 # Unseen families fall back to the default (None here).
                 assert svc._effective_timeout(_UNSET, "lpt") is None
@@ -1000,8 +1000,8 @@ class TestAutoTimeouts:
             config = self._config(spec_timeouts={"sbo": 7.0}, default_timeout=9.0)
             async with SolverService(config) as svc:
                 for _ in range(10):
-                    svc._family_latency.record("sbo", 0.01)
-                    svc._family_latency.record("lpt", 0.01)
+                    svc._request_latency.observe(0.01, "sbo")
+                    svc._request_latency.observe(0.01, "lpt")
                 assert svc._effective_timeout(3.0, "sbo") == 3.0      # explicit
                 assert svc._effective_timeout(None, "sbo") is None    # explicit off
                 assert svc._effective_timeout(_UNSET, "sbo") == 7.0   # spec_timeouts
@@ -1048,7 +1048,7 @@ class TestAutoTimeouts:
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
                 for _ in range(50):
-                    svc._family_latency.record("sbo", 0.01)
+                    svc._request_latency.observe(0.01, "sbo")
                 assert svc._effective_timeout(_UNSET, "sbo") is None
 
         run(scenario())
